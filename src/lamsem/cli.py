@@ -16,7 +16,7 @@ from .formula import FormulaSyntaxError, format_sequent, parse_formula
 from .lexicon import Lexicon, LexiconError, sentence_to_sequents
 from .model import Model, ModelError
 from .prover import SearchConfig, prove, proof_to_json, proof_to_text
-from .relsem import SemanticsError, eval_diagram_rel
+from .relsem import MAX_K, SemanticsError, eval_diagram_rel
 from .vecsem import check_equivalence, eval_diagram_vec
 
 EXIT_OK = 0
@@ -194,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 1 <= args.k <= MAX_K:
+            raise CliError(f"copy bound k must be in 1..{MAX_K}")
         return args.fn(args)
     except (
         CliError,

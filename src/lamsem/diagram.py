@@ -41,6 +41,7 @@ from .prover import (
     OVER_L,
     OVER_R,
     PERM,
+    RULES,
     ProofTree,
     TENSOR_L,
     TENSOR_R,
@@ -903,21 +904,7 @@ def _compile_open(t: ProofTree) -> Diagram:
 
 
 def _check_no_cut(t: ProofTree) -> None:
-    known = {
-        AXIOM,
-        UNDER_L,
-        OVER_L,
-        TENSOR_L,
-        TENSOR_R,
-        UNDER_R,
-        OVER_R,
-        BANG_L,
-        BANG_R,
-        NABLA_L,
-        NABLA_R,
-        PERM,
-    }
-    if t.rule not in known:
+    if t.rule not in RULES:
         raise DiagramError(f"cannot compile rule {t.rule!r} (cut-free proofs only)")
     for p in t.premises:
         _check_no_cut(p)

@@ -86,6 +86,8 @@ class Lexicon:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Lexicon":
+        if not isinstance(d, dict) or "words" not in d:
+            raise LexiconError('a lexicon must be a JSON object with a "words" map')
         atoms = frozenset(d.get("atoms", ("n", "np", "s")))
         entries = {
             word: tuple(parse_formula(t, atoms) for t in texts)

@@ -128,6 +128,8 @@ class Model:
 
     @classmethod
     def from_dict(cls, d: dict, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> "Model":
+        if not isinstance(d, dict) or "universe" not in d:
+            raise ModelError('a model must be a JSON object with a "universe" list')
         universe = tuple(d["universe"])
         index = {e: i for i, e in enumerate(universe)}
 

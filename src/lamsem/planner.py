@@ -3,14 +3,16 @@
 A :class:`~lamsem.diagram.Diagram` is turned into a network of sparse tensors,
 one per non-structural generator.  Structural generators (Cup, Cap, Swap, Id)
 carry no data: they merely identify wires, so they are compiled away into a
-wire aliasing (union-find) before evaluation.  Both the relational and the
-vector backend share this network and the same greedy contraction order; they
-differ only in the semiring the entries live in.
+wire aliasing (union-find) before evaluation.  Every tensor is the 0/1
+indicator of its generator's relation, and the network is contracted once with
+exact integers: each entry of the result counts the witnesses of its boundary
+tuple.  Both backends read that one result: the relation is its support, the
+vector scalar its sum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diagram import (
     Cap,
@@ -23,22 +25,7 @@ from .diagram import (
     WireType,
 )
 
-# An entry map: flat value tuple (one value per axis, ins then outs) -> scalar.
-Entries = Mapping[tuple, object]
-
 DEFAULT_CELL_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class Semiring:
-    zero: object
-    one: object
-    add: Callable[[object, object], object]
-    mul: Callable[[object, object], object]
-
-
-BOOL_SEMIRING = Semiring(False, True, lambda a, b: a or b, lambda a, b: a and b)
-INT_SEMIRING = Semiring(0, 1, lambda a, b: a + b, lambda a, b: a * b)
 
 
 @dataclass
@@ -141,21 +128,21 @@ def extract_network(d: Diagram) -> Network:
 
 @dataclass
 class SparseTensor:
-    """Sparse map from per-axis values to scalars; axes name their wires."""
+    """Sparse map from per-axis values to positive counts; axes name wires."""
 
     axes: list[int]
-    entries: dict[tuple, object]
+    entries: dict[tuple, int]
 
-    def project(self, keep: list[int], semiring: Semiring) -> "SparseTensor":
+    def project(self, keep: list[int]) -> "SparseTensor":
         pos = [self.axes.index(a) for a in keep]
-        out: dict[tuple, object] = {}
+        out: dict[tuple, int] = {}
         for tup, v in self.entries.items():
             k = tuple(tup[i] for i in pos)
-            out[k] = semiring.add(out.get(k, semiring.zero), v)
+            out[k] = out.get(k, 0) + v
         return SparseTensor(list(keep), out)
 
 
-def _trace_duplicates(t: SparseTensor, semiring: Semiring) -> SparseTensor:
+def _trace_duplicates(t: SparseTensor) -> SparseTensor:
     """Merge repeated axes (a wire with both endpoints on one tensor)."""
     first: dict[int, int] = {}
     dup = False
@@ -172,21 +159,16 @@ def _trace_duplicates(t: SparseTensor, semiring: Semiring) -> SparseTensor:
         if a not in seen:
             seen.add(a)
             keep_pos.append(i)
-    out: dict[tuple, object] = {}
+    out: dict[tuple, int] = {}
     for tup, v in t.entries.items():
         if any(tup[i] != tup[first[a]] for i, a in enumerate(t.axes)):
             continue
         k = tuple(tup[i] for i in keep_pos)
-        out[k] = semiring.add(out.get(k, semiring.zero), v)
+        out[k] = out.get(k, 0) + v
     return SparseTensor([t.axes[i] for i in keep_pos], out)
 
 
-def _pair_contract(
-    t1: SparseTensor,
-    t2: SparseTensor,
-    kill: set[int],
-    semiring: Semiring,
-) -> SparseTensor:
+def _pair_contract(t1: SparseTensor, t2: SparseTensor, kill: set[int]) -> SparseTensor:
     """Contract two tensors, summing out the wires in `kill`."""
     shared = [a for a in t1.axes if a in t2.axes]
     out_axes = [a for a in t1.axes if a not in kill] + [
@@ -201,31 +183,29 @@ def _pair_contract(
     index2: dict[tuple, list[tuple]] = {}
     for tup in t2.entries:
         index2.setdefault(tuple(tup[i] for i in s_pos2), []).append(tup)
-    out: dict[tuple, object] = {}
+    out: dict[tuple, int] = {}
     for tup1, v1 in t1.entries.items():
         skey = tuple(tup1[i] for i in s_pos1)
         for tup2 in index2.get(skey, ()):
-            v = semiring.mul(v1, t2.entries[tup2])
-            if v == semiring.zero:
-                continue
             k = tuple(tup1[i] for i in keep1) + tuple(tup2[i] for i in keep2)
-            out[k] = semiring.add(out.get(k, semiring.zero), v)
+            out[k] = out.get(k, 0) + v1 * t2.entries[tup2]
     return SparseTensor(out_axes, out)
 
 
 def contract_network(
     net: Network,
-    make_entries: Callable[[TensorNode], Entries],
-    semiring: Semiring,
+    relation_of: Callable[[TensorNode], Iterable[tuple]],
     size_of: Callable[[WireType], int],
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> SparseTensor:
     """Contract the whole network down to a tensor over the free wires.
 
-    The contraction order is greedy: each step merges the pair of tensors
-    whose result has the smallest estimated dense size.  Results are
-    bit-identical regardless of how entries were produced, because both
-    backends share this planner and its deterministic tie-breaking.
+    Each tensor node is the 0/1 indicator of ``relation_of(node)``, its
+    generator's relation as flat tuples (ins then outs).  The result maps
+    each boundary tuple to its witness count, a positive integer; tuples
+    with no witness are absent.  The contraction order is greedy: each step
+    merges the pair of tensors whose result has the smallest estimated
+    dense size, with deterministic tie-breaking.
     """
     for w in net.wire_types.values():
         if size_of(w) > cell_budget:
@@ -235,15 +215,14 @@ def contract_network(
     free = set(net.free)
     tensors: list[SparseTensor] = []
     for tn in net.tensors:
-        entries = make_entries(tn)
-        t = SparseTensor(list(tn.axes), dict(entries))
+        t = SparseTensor(list(tn.axes), dict.fromkeys(relation_of(tn), 1))
         if tn.summed:
             # marginalize discarded outputs right away
             keep = [a for i, a in enumerate(t.axes) if i not in tn.summed]
             # a discarded wire may coincide with a kept one only via aliasing;
             # summing the axis out is still correct because the wire is open
-            t = t.project(keep, semiring)
-        tensors.append(_trace_duplicates(t, semiring))
+            t = t.project(keep)
+        tensors.append(_trace_duplicates(t))
 
     def degree() -> dict[int, int]:
         deg: dict[int, int] = {}
@@ -276,29 +255,20 @@ def contract_network(
             kill: set[int] = set()
         else:
             _, i, j, kill = best
-        merged = _pair_contract(tensors[i], tensors[j], kill, semiring)
+        merged = _pair_contract(tensors[i], tensors[j], kill)
         tensors = [t for p, t in enumerate(tensors) if p not in (i, j)]
-        tensors.append(_trace_duplicates(merged, semiring))
-    if not tensors:
-        result = SparseTensor([], {(): semiring.one})
-    else:
-        result = tensors[0]
+        tensors.append(_trace_duplicates(merged))
+    result = tensors[0] if tensors else SparseTensor([], {(): 1})
     # sum out any non-free leftover axes (open discarded wires)
-    result = result.project([a for a in result.axes if a in free], semiring)
+    result = result.project([a for a in result.axes if a in free])
+    loop_scalar = 1
     for w in net.loops:  # a closed wire loop traces to its carrier size
-        n = size_of(w)
-        loop_scalar = semiring.zero
-        for _ in range(n):
-            loop_scalar = semiring.add(loop_scalar, semiring.one)
-        result = SparseTensor(
-            result.axes,
-            {k: semiring.mul(v, loop_scalar) for k, v in result.entries.items()},
-        )
+        loop_scalar *= size_of(w)
     # reorder axes to the boundary order
     order = [a for a in net.free if a in result.axes]
     pos = [result.axes.index(a) for a in order]
-    entries = {}
-    for tup, v in result.entries.items():
-        if v != semiring.zero:
-            entries[tuple(tup[i] for i in pos)] = v
+    entries = {
+        tuple(tup[i] for i in pos): v * loop_scalar
+        for tup, v in result.entries.items()
+    }
     return SparseTensor(order, entries)

@@ -4,13 +4,15 @@ Wire types denote finite carriers (``NWire`` = P(U), ``SWire`` = a one-point
 set, ``FockWire(w)`` = the disjoint union of powers 1..k of w's carrier),
 words and generators denote finite relations, and a sentence diagram
 evaluates to a relation from the one-point set to itself: the sentence is
-true iff that relation is non-empty.
+true iff that relation is non-empty.  A diagram's relation is computed as the
+support of its exact witness counts (:func:`_witness_counts`), the same
+contraction whose sum is the vector semantics.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .diagram import (
     Cap,
@@ -39,15 +41,7 @@ from .diagram import (
 )
 from .formula import Atom, Bang, Formula, Nabla, Over, Under
 from .model import Model, ModelError, SubsetId
-from .planner import (
-    BOOL_SEMIRING,
-    DEFAULT_CELL_BUDGET,
-    Network,
-    SparseTensor,
-    TensorNode,
-    contract_network,
-    extract_network,
-)
+from .planner import DEFAULT_CELL_BUDGET, contract_network, extract_network
 
 STAR = "*"  # the unique inhabitant of the one-point carrier
 
@@ -134,7 +128,7 @@ class FinRel:
 
 
 def _entries_to_finrel(
-    entries: set[tuple], ins: tuple[WireType, ...], outs: tuple[WireType, ...]
+    entries: Iterable[tuple], ins: tuple[WireType, ...], outs: tuple[WireType, ...]
 ) -> FinRel:
     n_in = len(ins)
     pairs = frozenset(
@@ -266,7 +260,7 @@ def generator_entries(g: Generator, m: Model, k: int) -> set[tuple]:
             for items in itertools.product(base, repeat=g.n)
         }
     if isinstance(g, FockLift):
-        base = _diagram_entries(g.inner, m, k)
+        base = _witness_counts(g.inner, m, k)
         n_in = len(g.inner.input_types())
         graph = sorted(
             {(_group(t[:n_in]), _group(t[n_in:])) for t in base}, key=repr
@@ -288,25 +282,26 @@ def generator_rel(g: Generator, m: Model, k: int = DEFAULT_K) -> FinRel:
 # ---------------------------------------------------------------- evaluation
 
 
-def _make_entries(m: Model, k: int):
-    def make(tn: TensorNode) -> dict[tuple, bool]:
-        return {t: True for t in generator_entries(tn.gen, m, k)}
-
-    return make
-
-
-def _diagram_entries(
+def _witness_counts(
     d: Diagram, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
-) -> set[tuple]:
-    net = extract_network(d)
+) -> dict[tuple, int]:
+    """Witness count of each boundary tuple (ins then outs) of a diagram.
+
+    The one evaluation both backends share: the diagram's relation is the
+    set of keys, its vector scalar (when closed) the sum of the values.
+    """
+    if k < 1 or k > MAX_K:
+        raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
+    report = typecheck_report(d)
+    if report is not None:
+        raise DiagramError(f"cannot evaluate an ill-typed diagram: {report}")
     result = contract_network(
-        net,
-        _make_entries(m, k),
-        BOOL_SEMIRING,
+        extract_network(d),
+        lambda tn: generator_entries(tn.gen, m, k),
         lambda w: carrier_size(w, m, k),
         budget,
     )
-    return {t for t, v in result.entries.items() if v}
+    return result.entries
 
 
 def eval_diagram_rel(
@@ -318,12 +313,7 @@ def eval_diagram_rel(
     relation from the one-point carrier to itself; the sentence is true
     iff the relation is non-empty.
     """
-    if k < 1 or k > MAX_K:
-        raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
-    report = typecheck_report(d)
-    if report is not None:
-        raise DiagramError(f"cannot evaluate an ill-typed diagram: {report}")
-    entries = _diagram_entries(d, m, k, budget)
+    entries = _witness_counts(d, m, k, budget)
     return _entries_to_finrel(entries, d.input_types(), d.output_types())
 
 

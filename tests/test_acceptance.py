@@ -10,6 +10,7 @@ import random
 import time
 
 from conftest import DONKEY, donkey_oracle, find_proofs, sentence_diagram
+from reference import reference_counts
 
 from lamsem import (
     Model,
@@ -17,6 +18,7 @@ from lamsem import (
     check_equivalence,
     check_proof_report,
     eval_diagram_rel,
+    eval_diagram_vec,
     parse_sequent,
     prove,
 )
@@ -173,6 +175,11 @@ def test_rel_vector_equivalence(capsys, lexicon):
             m = random_model(rng, size=2 + (i % 2))
             for d in diagrams:
                 assert check_equivalence(d, m, k=2)
+                # against the brute-force evaluator, which shares no
+                # contraction code with either backend
+                ref = reference_counts(d, m, k=2)
+                assert eval_diagram_vec(d, m, k=2) == sum(ref.values())
+                assert eval_diagram_rel(d, m, k=2).nonempty == bool(ref)
 
     run_criterion(capsys, "rel/vector equivalence", body)
 

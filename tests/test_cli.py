@@ -184,6 +184,31 @@ def test_bad_goal_formula(capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--model", {"unary": {}}),
+        ("--model", ["a", "b"]),
+        ("--lexicon", {"atoms": ["n", "np", "s"]}),
+        ("--lexicon", "words"),
+    ],
+)
+def test_malformed_data_file_is_an_error(capsys, tmp_path, flag, content):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "eval", "dogs eat snacks", flag, str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["prove", "diagram", "eval"])
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_copy_bound_range_is_checked_for_every_command(capsys, command, k):
+    code, out, err = run(capsys, command, "dogs eat snacks", "--k", k)
+    assert code == EXIT_ERROR
+    assert "copy bound k must be in 1..3" in err
+
+
 # ------------------------------------------------------------- determinism
 
 

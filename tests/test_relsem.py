@@ -7,6 +7,7 @@ import time
 
 import pytest
 from conftest import DONKEY, donkey_oracle, sentence_diagram
+from reference import reference_counts
 
 from lamsem import (
     FinRel,
@@ -35,7 +36,7 @@ from lamsem.diagram import (
     Unit,
 )
 from lamsem.formula import parse_formula
-from lamsem.relsem import STAR, SemanticsError, rel_true
+from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
 
 ATOMS = ("np", "n", "s")
 N = NWire()
@@ -46,7 +47,11 @@ def small_model(n: int = 2) -> Model:
 
 
 def rel_pairs(d: Diagram, m: Model, k: int = 2) -> frozenset:
-    return eval_diagram_rel(d, m, k).pairs
+    """The relation's pairs, checked against the brute-force reference."""
+    r = eval_diagram_rel(d, m, k)
+    support = reference_counts(d, m, k)
+    assert r == _entries_to_finrel(support, d.input_types(), d.output_types())
+    return r.pairs
 
 
 def chain(*gens, seal_output: bool = False) -> Diagram:
@@ -340,6 +345,13 @@ def test_transitive_sentence_truth(lexicon, model_dogs):
 def test_quantified_sentence_truth(lexicon, model_dogs):
     d = sentence_diagram(lexicon, "every dog eats snacks")
     assert rel_true(eval_diagram_rel(d, model_dogs))
+
+
+def test_relative_clause_denotes_intersection(lexicon, model_dogs):
+    m = model_dogs
+    d = sentence_diagram(lexicon, "dogs who eat snacks", goal="np")
+    want = m.unary_set("dogs") & m.forward_image("eat", m.unary_set("snacks"))
+    assert rel_pairs(d, m) == frozenset({(STAR, want)})
 
 
 def test_donkey_on_bundled_models(lexicon, model_donkey_true, model_donkey_false):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 from conftest import DONKEY, sentence_diagram
+from reference import reference_counts
 
 from lamsem import (
     Model,
@@ -90,14 +91,13 @@ def test_indicator_functoriality():
 
 def int_entries(d, m, k=2):
     """Contract an open diagram's indicator network over the integers."""
-    from lamsem.planner import INT_SEMIRING, contract_network, extract_network
+    from lamsem.planner import contract_network, extract_network
     from lamsem.relsem import carrier_size
 
     net = extract_network(d)
     result = contract_network(
         net,
-        lambda tn: {t: 1 for t in generator_entries(tn.gen, m, k)},
-        INT_SEMIRING,
+        lambda tn: generator_entries(tn.gen, m, k),
         lambda w: carrier_size(w, m, k),
     )
     return dict(result.entries)
@@ -127,7 +127,7 @@ def test_vector_bialgebra_compatibility(size):
         ((0, 0), (1, 0)),
         ((3, 0), (4, 0)),
     )
-    assert int_entries(lhs, m) == int_entries(rhs, m)
+    assert int_entries(lhs, m) == int_entries(rhs, m) == reference_counts(lhs, m, 2)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -148,7 +148,7 @@ def test_vector_frobenius_law(size):
         ((2, 0), (2, 1)),
     )
     got_lhs, got_rhs = int_entries(lhs, m), int_entries(rhs, m)
-    assert got_lhs == got_rhs
+    assert got_lhs == got_rhs == reference_counts(lhs, m, 2)
     assert got_lhs == {(a, a, a, a): 1 for a in m.subsets()}
 
 
@@ -239,7 +239,8 @@ SENTENCES = (
 
 def test_rel_vec_equivalence_randomized(lexicon):
     """>= 200 random models: scalar non-zero iff relational truth, across
-    the bundled sentence set."""
+    the bundled sentence set, and both agree with the brute-force
+    reference evaluator."""
     diagrams = [sentence_diagram(lexicon, s, goal=g) for s, g in SENTENCES]
     rng = random.Random(424242)
     checked = 0
@@ -247,14 +248,27 @@ def test_rel_vec_equivalence_randomized(lexicon):
         m = random_model(rng, size=2 + i % 2)
         for d in diagrams:
             assert check_equivalence(d, m, k=2)
+            ref = reference_counts(d, m, k=2)
+            assert eval_diagram_vec(d, m, k=2) == sum(ref.values())
+            assert eval_diagram_rel(d, m, k=2).nonempty == bool(ref)
             checked += 1
     assert checked == 200 * len(SENTENCES)
 
 
-def test_equivalence_is_semantic_not_trivial(lexicon, model_donkey_true):
+def test_equivalence_is_semantic_not_trivial(
+    lexicon, model_donkey_true, model_donkey_false
+):
+    """Equivalence holds on a true and on a false model, and the reference
+    evaluator confirms which is which."""
     d = sentence_diagram(lexicon, DONKEY)
     assert check_equivalence(d, model_donkey_true)
     assert rel_true(eval_diagram_rel(d, model_donkey_true))
+    assert sum(reference_counts(d, model_donkey_true, k=2).values()) == 32
+
+    assert check_equivalence(d, model_donkey_false)
+    assert eval_diagram_vec(d, model_donkey_false) == 0
+    assert not rel_true(eval_diagram_rel(d, model_donkey_false))
+    assert reference_counts(d, model_donkey_false, k=2) == {}
 
 
 def test_vec_rejects_bad_k(lexicon, model_dogs):
