@@ -88,10 +88,16 @@ class Lexicon:
     def from_dict(cls, d: dict) -> "Lexicon":
         if not isinstance(d, dict) or "words" not in d:
             raise LexiconError('a lexicon must be a JSON object with a "words" map')
+        words = d["words"]
+        if not isinstance(words, dict) or not all(
+            isinstance(ts, list) and all(isinstance(t, str) for t in ts)
+            for ts in words.values()
+        ):
+            raise LexiconError('"words" must map each word to a list of formulas')
         atoms = frozenset(d.get("atoms", ("n", "np", "s")))
         entries = {
             word: tuple(parse_formula(t, atoms) for t in texts)
-            for word, texts in d["words"].items()
+            for word, texts in words.items()
         }
         return cls(atoms=atoms, entries=entries, wirings=dict(d.get("wirings", {})))
 

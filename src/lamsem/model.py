@@ -130,33 +130,50 @@ class Model:
     def from_dict(cls, d: dict, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> "Model":
         if not isinstance(d, dict) or "universe" not in d:
             raise ModelError('a model must be a JSON object with a "universe" list')
+        if not isinstance(d["universe"], list) or not all(
+            isinstance(e, str) for e in d["universe"]
+        ):
+            raise ModelError('"universe" must be a list of entity names')
+        for section in ("unary", "binary", "determiners"):
+            if not isinstance(d.get(section, {}), dict):
+                raise ModelError(f'"{section}" must be a JSON object')
         universe = tuple(d["universe"])
         index = {e: i for i, e in enumerate(universe)}
 
+        def entity(e) -> int:
+            if not isinstance(e, str) or e not in index:
+                raise ModelError(f"unknown entity {e!r}")
+            return index[e]
+
         def mask(names: list[str]) -> SubsetId:
+            if not isinstance(names, list):
+                raise ModelError(f"expected a list of entity names, got {names!r}")
             m = 0
             for e in names:
-                if e not in index:
-                    raise ModelError(f"unknown entity {e!r}")
-                m |= 1 << index[e]
+                m |= 1 << entity(e)
             return m
 
+        def pairs_of(value, what: str) -> list:
+            if isinstance(value, list) and all(
+                isinstance(p, list) and len(p) == 2 for p in value
+            ):
+                return value
+            raise ModelError(f"{what} must be a list of pairs")
+
         unary = {name: mask(names) for name, names in d.get("unary", {}).items()}
-        binary = {}
-        for name, pairs in d.get("binary", {}).items():
-            rel = set()
-            for pair in pairs:
-                x, y = pair
-                if x not in index or y not in index:
-                    raise ModelError(f"unknown entity in binary {name!r}")
-                rel.add((index[x], index[y]))
-            binary[name] = frozenset(rel)
+        binary = {
+            name: frozenset(
+                (entity(x), entity(y)) for x, y in pairs_of(pairs, f"binary {name!r}")
+            )
+            for name, pairs in d.get("binary", {}).items()
+        }
         determiners: dict[str, str | tuple[tuple[SubsetId, SubsetId], ...]] = {}
         for name, det in d.get("determiners", {}).items():
             if isinstance(det, str):
                 determiners[name] = det
             else:
-                determiners[name] = tuple((mask(a), mask(b)) for a, b in det)
+                pairs = pairs_of(det, f"determiner {name!r}")
+                determiners[name] = tuple((mask(a), mask(b)) for a, b in pairs)
         return cls(
             universe=universe,
             unary=unary,

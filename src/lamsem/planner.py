@@ -1,17 +1,21 @@
 """Tensor-network extraction and contraction planning for diagram evaluation.
 
 A :class:`~lamsem.diagram.Diagram` is turned into a network of sparse tensors,
-one per non-structural generator.  Structural generators (Cup, Cap, Swap, Id)
-carry no data: they merely identify wires, so they are compiled away into a
-wire aliasing (union-find) before evaluation.  Every tensor is the 0/1
-indicator of its generator's relation, and the network is contracted once with
-exact integers: each entry of the result counts the witnesses of its boundary
-tuple.  Both backends read that one result: the relation is its support, the
-vector scalar its sum.
+one per non-structural generator; structural generators (Cup, Cap, Swap, Id)
+only identify wires and are compiled away by a union-find.  Every tensor is the
+0/1 indicator of its generator's relation, contracted with exact integers: each
+entry of the result counts the witnesses of its boundary tuple (the relation is
+its support, the vector scalar its sum).  A :class:`Plan` holds the network,
+each leaf's marginalize and trace positions, the pair order and the boundary
+reorder, as index getters.  It reads the model only through carrier sizes, so
+relsem caches one per (diagram, |U|, k) and runs it on every model.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
@@ -126,149 +130,147 @@ def extract_network(d: Diagram) -> Network:
     return Network(tensors, free, wire_types, loops)
 
 
-@dataclass
-class SparseTensor:
-    """Sparse map from per-axis values to positive counts; axes name wires."""
-
-    axes: list[int]
-    entries: dict[tuple, int]
-
-    def project(self, keep: list[int]) -> "SparseTensor":
-        pos = [self.axes.index(a) for a in keep]
-        out: dict[tuple, int] = {}
-        for tup, v in self.entries.items():
-            k = tuple(tup[i] for i in pos)
-            out[k] = out.get(k, 0) + v
-        return SparseTensor(list(keep), out)
+Getter = Callable[[tuple], tuple]
 
 
-def _trace_duplicates(t: SparseTensor) -> SparseTensor:
-    """Merge repeated axes (a wire with both endpoints on one tensor)."""
+def _getter(pos: Sequence[int]) -> Getter:
+    """``itemgetter`` over `pos` that returns a tuple for any length."""
+    if len(pos) == 1:
+        i = pos[0]
+        return lambda tup: (tup[i],)
+    return itemgetter(*pos) if pos else lambda tup: ()
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A fixed contraction of one network at fixed carrier sizes.
+
+    Leaf ``i`` fills slot ``i``, step ``s`` slot ``len(leaves) + s``.  A leaf is
+    ``None`` (kept as is) or (equality checks, key getter).  A step is
+    ``(slot1, slot2, shared1, shared2, keep1, keep2)``: each side's getters of
+    its shared-wire key and of the positions it keeps.
+    """
+
+    net: Network
+    leaves: tuple[tuple[tuple[tuple[int, int], ...], Getter] | None, ...]
+    steps: tuple[tuple[int, int, Getter, Getter, Getter, Getter], ...]
+    reorder: Getter
+
+
+def _leaf(tn: TensorNode):
+    """A leaf's reduction and its axes after marginalizing and tracing."""
+    keep = [a for i, a in enumerate(tn.axes) if i not in tn.summed]
+    # a discarded wire may coincide with a kept one only via aliasing;
+    # summing the axis out is still correct because the wire is open
+    pos = [tn.axes.index(a) for a in keep] if tn.summed else range(len(keep))
     first: dict[int, int] = {}
-    dup = False
-    for i, a in enumerate(t.axes):
-        if a in first:
-            dup = True
-        else:
-            first[a] = i
-    if not dup:
-        return t
-    keep_pos = []
-    seen: set[int] = set()
-    for i, a in enumerate(t.axes):
-        if a not in seen:
-            seen.add(a)
-            keep_pos.append(i)
-    out: dict[tuple, int] = {}
-    for tup, v in t.entries.items():
-        if any(tup[i] != tup[first[a]] for i, a in enumerate(t.axes)):
-            continue
-        k = tuple(tup[i] for i in keep_pos)
-        out[k] = out.get(k, 0) + v
-    return SparseTensor([t.axes[i] for i in keep_pos], out)
+    for i, a in enumerate(keep):
+        first.setdefault(a, i)
+    if not tn.summed and len(first) == len(keep):
+        return None, keep
+    checks = tuple(
+        (pos[i], pos[first[a]]) for i, a in enumerate(keep) if first[a] != i
+    )
+    return (checks, _getter([pos[i] for i in first.values()])), list(first)
 
 
-def _pair_contract(t1: SparseTensor, t2: SparseTensor, kill: set[int]) -> SparseTensor:
-    """Contract two tensors, summing out the wires in `kill`."""
-    shared = [a for a in t1.axes if a in t2.axes]
-    out_axes = [a for a in t1.axes if a not in kill] + [
-        a for a in t2.axes if a not in shared and a not in kill
-    ]
-    s_pos2 = [t2.axes.index(a) for a in shared]
-    s_pos1 = [t1.axes.index(a) for a in shared]
-    keep1 = [i for i, a in enumerate(t1.axes) if a not in kill]
-    keep2 = [
-        i for i, a in enumerate(t2.axes) if a not in shared and a not in kill
-    ]
-    index2: dict[tuple, list[tuple]] = {}
-    for tup in t2.entries:
-        index2.setdefault(tuple(tup[i] for i in s_pos2), []).append(tup)
+def _sum_by(
+    entries: dict[tuple, int], key_of: Getter, checks: Sequence[tuple[int, int]] = ()
+) -> dict[tuple, int]:
+    """Sum the entries that pass the equality checks by their new keys."""
     out: dict[tuple, int] = {}
-    for tup1, v1 in t1.entries.items():
-        skey = tuple(tup1[i] for i in s_pos1)
-        for tup2 in index2.get(skey, ()):
-            k = tuple(tup1[i] for i in keep1) + tuple(tup2[i] for i in keep2)
-            out[k] = out.get(k, 0) + v1 * t2.entries[tup2]
-    return SparseTensor(out_axes, out)
+    for tup, v in entries.items():
+        if all(tup[p] == tup[q] for p, q in checks):
+            k = key_of(tup)
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def plan_network(net: Network, size_of: Callable[[WireType], int]) -> Plan:
+    """Fix the pair order and the index getters of a network's contraction.
+
+    The order is greedy: each step merges the pair of tensors whose result
+    has the smallest estimated dense size, ties broken by position.  It reads
+    only axes and carrier sizes, so one plan serves every model of a size.
+    """
+    free = set(net.free)
+    leaves = []
+    live: list[tuple[int, list[int]]] = []  # (slot, axes) of unmerged tensors
+    for tn in net.tensors:
+        leaf, axes = _leaf(tn)
+        leaves.append(leaf)
+        live.append((len(live), axes))
+    steps = []
+    slot = len(live)
+    while len(live) > 1:
+        deg = Counter(a for _, axes in live for a in axes)
+        best = None
+        for i in range(len(live)):
+            for j in range(i + 1, len(live)):
+                shared = set(live[i][1]) & set(live[j][1])
+                if not shared:
+                    continue
+                kill = {a for a in shared if deg[a] == 2 and a not in free}
+                axes = {a for a in live[i][1] + live[j][1] if a not in kill}
+                key = (prod(size_of(net.wire_types[a]) for a in axes), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j, kill)
+        # no pair shares a wire (disconnected components): outer product
+        _, i, j, kill = best or (None, 0, 1, set())
+        (s1, axes1), (s2, axes2) = live[i], live[j]
+        shared = [a for a in axes1 if a in axes2]
+        keep1 = [p for p, a in enumerate(axes1) if a not in kill]
+        keep2 = [p for p, a in enumerate(axes2) if a not in shared and a not in kill]
+        pos1 = [axes1.index(a) for a in shared]
+        pos2 = [axes2.index(a) for a in shared]
+        steps.append((s1, s2, *map(_getter, (pos1, pos2, keep1, keep2))))
+        live = [t for p, t in enumerate(live) if p not in (i, j)]
+        live.append((slot, [axes1[p] for p in keep1] + [axes2[p] for p in keep2]))
+        slot += 1
+    last = live[0][1] if live else []
+    reorder = _getter([last.index(a) for a in net.free if a in last])
+    return Plan(net, tuple(leaves), tuple(steps), reorder)
 
 
 def contract_network(
-    net: Network,
+    plan: Plan,
     relation_of: Callable[[TensorNode], Iterable[tuple]],
     size_of: Callable[[WireType], int],
     cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> SparseTensor:
-    """Contract the whole network down to a tensor over the free wires.
+) -> dict[tuple, int]:
+    """Contract a planned network down to a tensor over the free wires.
 
     Each tensor node is the 0/1 indicator of ``relation_of(node)``, its
     generator's relation as flat tuples (ins then outs).  The result maps
-    each boundary tuple to its witness count, a positive integer; tuples
-    with no witness are absent.  The contraction order is greedy: each step
-    merges the pair of tensors whose result has the smallest estimated
-    dense size, with deterministic tie-breaking.
+    each boundary tuple (in boundary order) to its witness count, a positive
+    integer; tuples with no witness are absent.
     """
+    net = plan.net
     for w in net.wire_types.values():
         if size_of(w) > cell_budget:
             raise DiagramError(
                 f"carrier for wire type {w} exceeds the {cell_budget} budget"
             )
-    free = set(net.free)
-    tensors: list[SparseTensor] = []
-    for tn in net.tensors:
-        t = SparseTensor(list(tn.axes), dict.fromkeys(relation_of(tn), 1))
-        if tn.summed:
-            # marginalize discarded outputs right away
-            keep = [a for i, a in enumerate(t.axes) if i not in tn.summed]
-            # a discarded wire may coincide with a kept one only via aliasing;
-            # summing the axis out is still correct because the wire is open
-            t = t.project(keep)
-        tensors.append(_trace_duplicates(t))
-
-    def degree() -> dict[int, int]:
-        deg: dict[int, int] = {}
-        for t in tensors:
-            for a in t.axes:
-                deg[a] = deg.get(a, 0) + 1
-        return deg
-
-    def est_size(axes: Sequence[int]) -> int:
-        n = 1
-        for a in axes:
-            n *= size_of(net.wire_types[a])
-        return n
-
-    while len(tensors) > 1:
-        deg = degree()
-        best = None
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                shared = set(tensors[i].axes) & set(tensors[j].axes)
-                if not shared:
-                    continue
-                kill = {a for a in shared if deg[a] == 2 and a not in free}
-                axes = [a for a in tensors[i].axes + tensors[j].axes if a not in kill]
-                key = (est_size(set(axes)), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j, kill)
-        if best is None:  # disconnected components: outer product
-            i, j = 0, 1
-            kill: set[int] = set()
-        else:
-            _, i, j, kill = best
-        merged = _pair_contract(tensors[i], tensors[j], kill)
-        tensors = [t for p, t in enumerate(tensors) if p not in (i, j)]
-        tensors.append(_trace_duplicates(merged))
-    result = tensors[0] if tensors else SparseTensor([], {(): 1})
-    # sum out any non-free leftover axes (open discarded wires)
-    result = result.project([a for a in result.axes if a in free])
-    loop_scalar = 1
-    for w in net.loops:  # a closed wire loop traces to its carrier size
-        loop_scalar *= size_of(w)
-    # reorder axes to the boundary order
-    order = [a for a in net.free if a in result.axes]
-    pos = [result.axes.index(a) for a in order]
-    entries = {
-        tuple(tup[i] for i in pos): v * loop_scalar
-        for tup, v in result.entries.items()
-    }
-    return SparseTensor(order, entries)
+    slots: list[dict[tuple, int]] = []
+    for tn, leaf in zip(net.tensors, plan.leaves):
+        entries = dict.fromkeys(relation_of(tn), 1)
+        slots.append(entries if leaf is None else _sum_by(entries, leaf[1], leaf[0]))
+    for s1, s2, shared1, shared2, keep1, keep2 in plan.steps:
+        index2: dict[tuple, list[tuple[tuple, int]]] = {}
+        for tup, v in slots[s2].items():
+            index2.setdefault(shared2(tup), []).append((keep2(tup), v))
+        t1 = slots[s1]
+        slots[s1] = slots[s2] = {}  # free merged tensors as we go
+        out: dict[tuple, int] = {}
+        for tup, v1 in t1.items():
+            matches = index2.get(shared1(tup))
+            if matches:
+                head = keep1(tup)
+                for tail, v2 in matches:
+                    k = head + tail
+                    out[k] = out.get(k, 0) + v1 * v2
+        slots.append(out)
+    # a closed wire loop traces to its carrier size
+    loop_scalar = prod(size_of(w) for w in net.loops)
+    result = _sum_by(slots[-1] if slots else {(): 1}, plan.reorder)
+    return {k: v * loop_scalar for k, v in result.items()}

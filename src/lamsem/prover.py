@@ -104,6 +104,7 @@ class SearchResult:
 
     ``exhaustive`` distinguishes "definitively unprovable" (empty and
     exhaustive) from "nothing found before the depth limit cut the search".
+    It is also False when the per-sequent proof cap dropped proofs.
     """
 
     proofs: tuple[ProofTree, ...]
@@ -208,6 +209,7 @@ class _Searcher:
         self.cfg = cfg
         # sequent -> (proofs, exhaustive, depth budget the entry was computed at)
         self.memo: dict[Sequent, tuple[tuple[ProofTree, ...], bool, int]] = {}
+        self.truncated = False  # whether _NODE_CAP dropped any proof
 
     def search(self, seq: Sequent, depth: int) -> tuple[tuple[ProofTree, ...], bool]:
         balance = atom_balance(seq)
@@ -241,6 +243,7 @@ class _Searcher:
                     node = ProofTree(rule, vseq, tuple(combo), data)
                     proofs.append(_wrap_perms(node, seq.antecedent, seq.succedent, moves))
                     if len(proofs) >= self._NODE_CAP:
+                        self.truncated = True
                         break
                 if len(proofs) >= self._NODE_CAP:
                     break
@@ -333,7 +336,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     unique.sort(key=proof_to_text)
     if not cfg.enumerate_all:
         unique = unique[: cfg.max_proofs]
-    return SearchResult(tuple(unique), exhaustive)
+    return SearchResult(tuple(unique), exhaustive and not searcher.truncated)
 
 
 # -------------------------------------------------------------- rendering

@@ -10,6 +10,7 @@ contraction whose sum is the vector semantics.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -41,12 +42,14 @@ from .diagram import (
 )
 from .formula import Atom, Bang, Formula, Nabla, Over, Under
 from .model import Model, ModelError, SubsetId
-from .planner import DEFAULT_CELL_BUDGET, contract_network, extract_network
+from .planner import DEFAULT_CELL_BUDGET, Plan, contract_network, extract_network
+from .planner import plan_network
 
 STAR = "*"  # the unique inhabitant of the one-point carrier
 
 DEFAULT_K = 2
 MAX_K = 3
+PLAN_CACHE_SIZE = 256  # contraction plans kept, one per (diagram, |U|, k)
 
 
 class SemanticsError(ValueError):
@@ -56,18 +59,19 @@ class SemanticsError(ValueError):
 # ------------------------------------------------------------------- carriers
 
 
-def carrier_size(w: WireType, m: Model, k: int) -> int:
+def carrier_size(w: WireType, size: int, k: int) -> int:
+    """Number of elements of w's carrier over a universe of `size` entities."""
     if isinstance(w, NWire):
-        return 1 << m.size
+        return 1 << size
     if isinstance(w, SWire):
         return 1
     if isinstance(w, ProductWire):
         n = 1
         for part in w.parts:
-            n *= carrier_size(part, m, k)
+            n *= carrier_size(part, size, k)
         return n
     if isinstance(w, FockWire):
-        base = carrier_size(w.inner, m, k)
+        base = carrier_size(w.inner, size, k)
         return sum(base**i for i in range(1, k + 1))
     raise SemanticsError(f"no carrier for wire type {w!r}")
 
@@ -78,7 +82,7 @@ def interp_object(
     """The finite carrier denoted by a wire type, canonically ordered."""
     if k < 1:
         raise SemanticsError("copy bound k must be >= 1")
-    size = carrier_size(w, m, k)
+    size = carrier_size(w, m.size, k)
     if size > budget:
         raise SemanticsError(
             f"carrier of size {size} for {w!r} exceeds the {budget} budget"
@@ -282,6 +286,15 @@ def generator_rel(g: Generator, m: Model, k: int = DEFAULT_K) -> FinRel:
 # ---------------------------------------------------------------- evaluation
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(d: Diagram, size: int, k: int) -> Plan:
+    """Typecheck, extract and plan a diagram once per (diagram, |U|, k)."""
+    report = typecheck_report(d)
+    if report is not None:
+        raise DiagramError(f"cannot evaluate an ill-typed diagram: {report}")
+    return plan_network(extract_network(d), lambda w: carrier_size(w, size, k))
+
+
 def _witness_counts(
     d: Diagram, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> dict[tuple, int]:
@@ -289,19 +302,16 @@ def _witness_counts(
 
     The one evaluation both backends share: the diagram's relation is the
     set of keys, its vector scalar (when closed) the sum of the values.
+    Only the generator entries are built from `m`; the plan is reused.
     """
     if k < 1 or k > MAX_K:
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
-    report = typecheck_report(d)
-    if report is not None:
-        raise DiagramError(f"cannot evaluate an ill-typed diagram: {report}")
-    result = contract_network(
-        extract_network(d),
+    return contract_network(
+        _plan(d, m.size, k),
         lambda tn: generator_entries(tn.gen, m, k),
-        lambda w: carrier_size(w, m, k),
+        lambda w: carrier_size(w, m.size, k),
         budget,
     )
-    return result.entries
 
 
 def eval_diagram_rel(

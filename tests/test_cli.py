@@ -191,6 +191,10 @@ def test_bad_goal_formula(capsys):
         ("--model", ["a", "b"]),
         ("--lexicon", {"atoms": ["n", "np", "s"]}),
         ("--lexicon", "words"),
+        ("--model", {"universe": ["a"], "unary": []}),
+        ("--model", {"universe": 5}),
+        ("--model", {"universe": ["a"], "binary": {"eat": [["a"]]}}),
+        ("--lexicon", {"words": []}),
     ],
 )
 def test_malformed_data_file_is_an_error(capsys, tmp_path, flag, content):

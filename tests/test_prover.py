@@ -4,7 +4,8 @@ import time
 import pytest
 
 from lamsem import SearchConfig, check_proof, prove
-from lamsem.formula import parse_sequent
+from lamsem.formula import Atom, parse_sequent
+from lamsem.lexicon import sentence_to_sequents
 from lamsem.prover import proof_from_json, proof_to_json, proof_to_text
 
 from conftest import DONKEY, find_proofs
@@ -64,6 +65,23 @@ def test_unprovable_word_order():
     result = prove(seq, SearchConfig(k=2))
     assert not result.proofs
     assert result.exhaustive  # definitively unprovable, not a depth cutoff
+
+
+def first_result(lexicon, sentence: str, cfg: SearchConfig):
+    """The search result of the sentence's first provable reading."""
+    for seq in sentence_to_sequents(sentence.split(), lexicon, Atom("s")):
+        result = prove(seq, cfg)
+        if result.proofs:
+            return result
+    raise AssertionError(f"no proof for {sentence!r}")
+
+
+def test_proof_cap_is_reported_as_not_exhaustive(lexicon):
+    cfg = SearchConfig(k=2, enumerate_all=True)
+    donkey = first_result(lexicon, DONKEY, cfg)
+    assert len(donkey.proofs) == 26
+    assert donkey.exhaustive is False  # the per-sequent cap cut the search
+    assert first_result(lexicon, "dogs eat snacks", cfg).exhaustive is True
 
 
 def test_copy_bound_is_respected():

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from conftest import DONKEY, donkey_oracle, sentence_diagram
 from reference import reference_counts
 
+from lamsem import relsem
 from lamsem import (
     FinRel,
     Model,
     eval_diagram_rel,
+    eval_diagram_vec,
     generator_rel,
     interp_object,
     interp_word_rel,
@@ -24,6 +27,7 @@ from lamsem.diagram import (
     Cup,
     DetBox,
     Diagram,
+    DiagramError,
     Edge,
     FockLift,
     FockWire,
@@ -34,6 +38,8 @@ from lamsem.diagram import (
     Swap,
     SWire,
     Unit,
+    diagram_from_json,
+    export,
 )
 from lamsem.formula import parse_formula
 from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
@@ -362,11 +368,11 @@ def test_donkey_on_bundled_models(lexicon, model_donkey_true, model_donkey_false
     assert not donkey_oracle(model_donkey_false)
 
 
-def random_donkey_model(rng: random.Random) -> Model:
-    universe = ("u0", "u1", "u2")
-    pick = lambda: rng.randrange(8)
+def random_donkey_model(rng: random.Random, size: int = 3) -> Model:
+    universe = tuple(f"u{i}" for i in range(size))
+    pick = lambda: rng.randrange(1 << size)
     pairs = lambda: frozenset(
-        (x, y) for x in range(3) for y in range(3) if rng.random() < 0.4
+        (x, y) for x in range(size) for y in range(size) if rng.random() < 0.4
     )
     return Model(
         universe=universe,
@@ -394,7 +400,69 @@ def test_donkey_oracle_sweep(lexicon):
 
 def test_eval_rejects_bad_k(lexicon, model_dogs):
     d = sentence_diagram(lexicon, "dogs eat snacks")
-    with pytest.raises(SemanticsError):
-        eval_diagram_rel(d, model_dogs, k=0)
-    with pytest.raises(SemanticsError):
-        eval_diagram_rel(d, model_dogs, k=9)
+    assert rel_true(eval_diagram_rel(d, model_dogs, k=3))  # caches its plan
+    for k in (0, 4, 9):
+        with pytest.raises(SemanticsError):
+            eval_diagram_rel(d, model_dogs, k=k)
+    with pytest.raises(DiagramError):  # the carrier budget, on the cached plan
+        eval_diagram_rel(d, model_dogs, k=3, budget=1)
+
+
+# ------------------------------------------------------------- plan reuse
+
+
+def assert_matches_reference(d: Diagram, m: Model, k: int = 2) -> None:
+    rel_pairs(d, m, k)  # asserts the relation is the reference's support
+    assert eval_diagram_vec(d, m, k) == sum(reference_counts(d, m, k).values())
+
+
+def test_plans_follow_the_universe_size(lexicon):
+    d = sentence_diagram(lexicon, DONKEY)
+    rng = random.Random(17)
+    relsem._plan.cache_clear()
+    for size in (2, 3, 2, 3):
+        assert_matches_reference(d, random_donkey_model(rng, size))
+    info = relsem._plan.cache_info()
+    assert (info.misses, info.hits) == (2, 6)  # one plan per size, then reuse
+
+
+def test_equal_diagram_reuses_the_plan(lexicon, model_donkey_true):
+    d = sentence_diagram(lexicon, DONKEY)
+    eval_diagram_rel(d, model_donkey_true)
+    twin = diagram_from_json(export(d, "json"))
+    assert twin == d and twin is not d
+    hits = relsem._plan.cache_info().hits
+    assert eval_diagram_vec(twin, model_donkey_true) == 32
+    assert relsem._plan.cache_info().hits == hits + 1
+    assert_matches_reference(twin, model_donkey_true)
+
+
+def test_plan_is_built_once_per_size_and_k(lexicon, monkeypatch):
+    d = sentence_diagram(lexicon, DONKEY)
+    calls = Counter()
+
+    def counting(name: str):
+        real = getattr(relsem, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("typecheck_report", "extract_network"):
+        monkeypatch.setattr(relsem, name, counting(name))
+    relsem._plan.cache_clear()
+    rng = random.Random(23)
+    for _ in range(5):
+        m = random_donkey_model(rng)
+        assert rel_true(eval_diagram_rel(d, m)) == donkey_oracle(m)
+    assert calls == {"typecheck_report": 1, "extract_network": 1}
+
+
+def test_ill_typed_diagram_raises_on_every_call(model_dogs):
+    bad = Diagram((Mult(),), (Edge(0, 0, 5, 0),))
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            eval_diagram_rel(bad, model_dogs)
+

@@ -91,16 +91,15 @@ def test_indicator_functoriality():
 
 def int_entries(d, m, k=2):
     """Contract an open diagram's indicator network over the integers."""
-    from lamsem.planner import contract_network, extract_network
+    from lamsem.planner import contract_network, extract_network, plan_network
     from lamsem.relsem import carrier_size
 
-    net = extract_network(d)
-    result = contract_network(
-        net,
+    size_of = lambda w: carrier_size(w, m.size, k)
+    return contract_network(
+        plan_network(extract_network(d), size_of),
         lambda tn: generator_entries(tn.gen, m, k),
-        lambda w: carrier_size(w, m, k),
+        size_of,
     )
-    return dict(result.entries)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
