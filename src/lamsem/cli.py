@@ -6,6 +6,7 @@ false, 2 = error (including ungrammatical input to `eval`).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ from .diagram import export, proof_to_diagram, substitute_wirings, swap_erased_k
 from .formula import FormulaSyntaxError, format_sequent, parse_formula
 from .lexicon import Lexicon, LexiconError, sentence_to_sequents
 from .model import Model, ModelError
+from .planner import STEP_TRACE
 from .prover import SearchConfig, prove, proof_to_json, proof_to_text
 from .relsem import MAX_K, SemanticsError, eval_diagram_rel
 from .vecsem import check_equivalence, eval_diagram_vec
@@ -186,13 +188,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--export-dot", default=None)
         p.add_argument("--export-json", default=None)
         p.add_argument("--float", action="store_true")
-        p.add_argument("--trace", action="store_true")
+        p.add_argument(
+            "--trace",
+            action="store_true",
+            help="print each contraction step as a JSON line on stderr",
+        )
         p.set_defaults(fn=fn)
     return parser
 
 
+def _print_step(step: dict) -> None:
+    print(json.dumps(step), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    trace = STEP_TRACE.set(_print_step if args.trace else None)
     try:
         if not 1 <= args.k <= MAX_K:
             raise CliError(f"copy bound k must be in 1..{MAX_K}")
@@ -208,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        STEP_TRACE.reset(trace)
 
 
 if __name__ == "__main__":

@@ -5,14 +5,24 @@ one per non-structural generator; structural generators (Cup, Cap, Swap, Id)
 only identify wires and are compiled away by a union-find.  Every tensor is the
 0/1 indicator of its generator's relation, contracted with exact integers: each
 entry of the result counts the witnesses of its boundary tuple (the relation is
-its support, the vector scalar its sum).  A :class:`Plan` holds the network,
-each leaf's marginalize and trace positions, the pair order and the boundary
-reorder, as index getters.  It reads the model only through carrier sizes, so
-relsem caches one per (diagram, |U|, k) and runs it on every model.
+its support, the vector scalar its sum).
+
+A :class:`Plan` holds the network, each leaf's marginalize and trace
+positions, the pair order and the boundary reorder, as index getters.  Leaves
+are lazy: each is built at the first step that takes it.  A leaf whose
+generator maps inputs to outputs, taken at a step whose other operand carries
+all its input wires, is built only from the distinct input tuples of that
+operand (a semi-join: the join drops every other input, so counts stay
+exact).  The greedy pair order ranks steps by upper bounds on the entries
+they build and output, given per generator by the caller.  A plan reads the
+model only through carrier sizes and those bounds, so relsem caches one per
+(diagram, |U|, k) and runs it on every model.  While :data:`STEP_TRACE` holds
+a callable, each contraction step reports its slots and entry counts to it.
 """
 from __future__ import annotations
 
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
@@ -132,6 +142,12 @@ def extract_network(d: Diagram) -> Network:
 
 Getter = Callable[[tuple], tuple]
 
+# Called with one dict per contraction step while set (``lamsem eval --trace``
+# prints them); None, the default, costs one lookup per contraction.
+STEP_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
+    "STEP_TRACE", default=None
+)
+
 
 def _getter(pos: Sequence[int]) -> Getter:
     """``itemgetter`` over `pos` that returns a tuple for any length."""
@@ -145,15 +161,18 @@ def _getter(pos: Sequence[int]) -> Getter:
 class Plan:
     """A fixed contraction of one network at fixed carrier sizes.
 
-    Leaf ``i`` fills slot ``i``, step ``s`` slot ``len(leaves) + s``.  A leaf is
-    ``None`` (kept as is) or (equality checks, key getter).  A step is
-    ``(slot1, slot2, shared1, shared2, keep1, keep2)``: each side's getters of
-    its shared-wire key and of the positions it keeps.
+    Leaf ``i`` fills slot ``i`` when a step first takes it, step ``s`` slot
+    ``len(leaves) + s``.  A leaf is ``None`` (kept as is) or (equality checks,
+    key getter).  A step is ``(slot1, slot2, shared1, shared2, keep1, keep2,
+    inputs1)``: each side's getters of its shared-wire key and of the
+    positions it keeps, and ``inputs1``, which is None or the getter of leaf
+    ``slot2``'s input tuple from a tuple of ``slot1``: that leaf is then built
+    only from the distinct input tuples of ``slot1``.
     """
 
     net: Network
     leaves: tuple[tuple[tuple[tuple[int, int], ...], Getter] | None, ...]
-    steps: tuple[tuple[int, int, Getter, Getter, Getter, Getter], ...]
+    steps: tuple[tuple[int, int, Getter, Getter, Getter, Getter, Getter | None], ...]
     reorder: Getter
 
 
@@ -186,24 +205,53 @@ def _sum_by(
     return out
 
 
-def plan_network(net: Network, size_of: Callable[[WireType], int]) -> Plan:
+def plan_network(
+    net: Network,
+    size_of: Callable[[WireType], int],
+    bound_of: Callable[[Generator], tuple[int, int | None]],
+) -> Plan:
     """Fix the pair order and the index getters of a network's contraction.
 
-    The order is greedy: each step merges the pair of tensors whose result
-    has the smallest estimated dense size, ties broken by position.  It reads
-    only axes and carrier sizes, so one plan serves every model of a size.
+    ``bound_of(gen)`` bounds the entries of a generator's relation and, for
+    one that maps inputs to outputs, the outputs of one input tuple (its
+    fanout; None for any other generator).  Such a leaf built from the
+    input tuples of another operand has at most (their entries × fanout)
+    entries.  Each step merges the pair with the smallest bound on the
+    entries it builds plus those it outputs, ties broken by position; a
+    result is bounded by the product of its operands' bounds and by its
+    dense size.
     """
     free = set(net.free)
+    n_leaves = len(net.tensors)
     leaves = []
-    live: list[tuple[int, list[int]]] = []  # (slot, axes) of unmerged tensors
+    live: list[tuple[int, list[int], int]] = []  # (slot, axes, entry bound)
+    lazy: dict[int, tuple[list[int], int]] = {}  # leaf slot: (input wires, fanout)
+
+    def dense(axes) -> int:
+        return prod(size_of(net.wire_types[a]) for a in axes)
+
     for tn in net.tensors:
         leaf, axes = _leaf(tn)
+        entries, fanout = bound_of(tn.gen)
+        if fanout is not None:
+            lazy[len(live)] = (tn.axes[: len(tn.gen.ins)], fanout)
         leaves.append(leaf)
-        live.append((len(live), axes))
+        live.append((len(live), axes, min(entries, dense(axes))))
+
+    def merge(one, other):
+        """Bounds on the entries built and output by merging `other` into
+        `one`, and whether `other` is then built from `one`'s input tuples."""
+        (s1, axes1, b1), (s2, _, b2) = one, other
+        built = b1 if s1 < n_leaves else 0
+        if s2 in lazy and set(lazy[s2][0]) <= set(axes1):
+            out = b1 * lazy[s2][1]
+            return built + out, out, True
+        return built + (b2 if s2 < n_leaves else 0), b1 * b2, False
+
     steps = []
-    slot = len(live)
+    slot = n_leaves
     while len(live) > 1:
-        deg = Counter(a for _, axes in live for a in axes)
+        deg = Counter(a for _, axes, _ in live for a in axes)
         best = None
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
@@ -211,21 +259,28 @@ def plan_network(net: Network, size_of: Callable[[WireType], int]) -> Plan:
                 if not shared:
                     continue
                 kill = {a for a in shared if deg[a] == 2 and a not in free}
-                axes = {a for a in live[i][1] + live[j][1] if a not in kill}
-                key = (prod(size_of(net.wire_types[a]) for a in axes), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j, kill)
+                size = dense({a for a in live[i][1] + live[j][1] if a not in kill})
+                for first, second in ((i, j), (j, i)):
+                    built, out, from_keys = merge(live[first], live[second])
+                    out = min(out, size)
+                    key = (built + out, i, j, not from_keys)
+                    if best is None or key < best[0]:
+                        best = (key, first, second, kill, out, from_keys)
         # no pair shares a wire (disconnected components): outer product
-        _, i, j, kill = best or (None, 0, 1, set())
-        (s1, axes1), (s2, axes2) = live[i], live[j]
+        _, i, j, kill, bound, from_keys = best or (
+            None, 0, 1, set(), live[0][2] * live[1][2], False
+        )
+        (s1, axes1, _), (s2, axes2, _) = live[i], live[j]
         shared = [a for a in axes1 if a in axes2]
         keep1 = [p for p, a in enumerate(axes1) if a not in kill]
         keep2 = [p for p, a in enumerate(axes2) if a not in shared and a not in kill]
         pos1 = [axes1.index(a) for a in shared]
         pos2 = [axes2.index(a) for a in shared]
-        steps.append((s1, s2, *map(_getter, (pos1, pos2, keep1, keep2))))
+        inputs1 = _getter([axes1.index(a) for a in lazy[s2][0]]) if from_keys else None
+        steps.append((s1, s2, *map(_getter, (pos1, pos2, keep1, keep2)), inputs1))
+        axes = [axes1[p] for p in keep1] + [axes2[p] for p in keep2]
         live = [t for p, t in enumerate(live) if p not in (i, j)]
-        live.append((slot, [axes1[p] for p in keep1] + [axes2[p] for p in keep2]))
+        live.append((slot, axes, min(bound, dense(axes))))
         slot += 1
     last = live[0][1] if live else []
     reorder = _getter([last.index(a) for a in net.free if a in last])
@@ -234,16 +289,17 @@ def plan_network(net: Network, size_of: Callable[[WireType], int]) -> Plan:
 
 def contract_network(
     plan: Plan,
-    relation_of: Callable[[TensorNode], Iterable[tuple]],
+    relation_of: Callable[[TensorNode, set[tuple] | None], Iterable[tuple]],
     size_of: Callable[[WireType], int],
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> dict[tuple, int]:
     """Contract a planned network down to a tensor over the free wires.
 
-    Each tensor node is the 0/1 indicator of ``relation_of(node)``, its
-    generator's relation as flat tuples (ins then outs).  The result maps
-    each boundary tuple (in boundary order) to its witness count, a positive
-    integer; tuples with no witness are absent.
+    Each tensor node is the 0/1 indicator of ``relation_of(node, inputs)``,
+    its generator's relation as flat tuples (ins then outs): the whole
+    relation when `inputs` is None, else only the tuples whose inputs are
+    in that set.  The result maps each boundary tuple (in boundary order) to
+    its witness count, a positive integer; tuples with no witness are absent.
     """
     net = plan.net
     for w in net.wire_types.values():
@@ -251,16 +307,25 @@ def contract_network(
             raise DiagramError(
                 f"carrier for wire type {w} exceeds the {cell_budget} budget"
             )
-    slots: list[dict[tuple, int]] = []
-    for tn, leaf in zip(net.tensors, plan.leaves):
-        entries = dict.fromkeys(relation_of(tn), 1)
-        slots.append(entries if leaf is None else _sum_by(entries, leaf[1], leaf[0]))
-    for s1, s2, shared1, shared2, keep1, keep2 in plan.steps:
-        index2: dict[tuple, list[tuple[tuple, int]]] = {}
-        for tup, v in slots[s2].items():
-            index2.setdefault(shared2(tup), []).append((keep2(tup), v))
+
+    def build(slot: int, inputs: set[tuple] | None = None) -> dict[tuple, int]:
+        leaf = plan.leaves[slot]
+        entries = dict.fromkeys(relation_of(net.tensors[slot], inputs), 1)
+        return entries if leaf is None else _sum_by(entries, leaf[1], leaf[0])
+
+    trace = STEP_TRACE.get()
+    slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
+    for n, (s1, s2, shared1, shared2, keep1, keep2, inputs1) in enumerate(plan.steps):
         t1 = slots[s1]
+        if t1 is None:
+            t1 = build(s1)
+        t2 = slots[s2]
+        if t2 is None:
+            t2 = build(s2, None if inputs1 is None else set(map(inputs1, t1)))
         slots[s1] = slots[s2] = {}  # free merged tensors as we go
+        index2: dict[tuple, list[tuple[tuple, int]]] = {}
+        for tup, v in t2.items():
+            index2.setdefault(shared2(tup), []).append((keep2(tup), v))
         out: dict[tuple, int] = {}
         for tup, v1 in t1.items():
             matches = index2.get(shared1(tup))
@@ -270,7 +335,16 @@ def contract_network(
                     k = head + tail
                     out[k] = out.get(k, 0) + v1 * v2
         slots.append(out)
+        if trace is not None:
+            trace({
+                "step": n,
+                "slots": [s1, s2],
+                "from_keys": inputs1 is not None,
+                "entries_in": [len(t1), len(t2)],
+                "entries_out": len(out),
+            })
     # a closed wire loop traces to its carrier size
     loop_scalar = prod(size_of(w) for w in net.loops)
-    result = _sum_by(slots[-1] if slots else {(): 1}, plan.reorder)
+    last = slots[-1] if plan.steps else build(0) if slots else {(): 1}
+    result = _sum_by(last, plan.reorder)
     return {k: v * loop_scalar for k, v in result.items()}

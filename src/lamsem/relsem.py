@@ -7,11 +7,20 @@ evaluates to a relation from the one-point set to itself: the sentence is
 true iff that relation is non-empty.  A diagram's relation is computed as the
 support of its exact witness counts (:func:`_witness_counts`), the same
 contraction whose sum is the vector semantics.
+
+A generator that maps inputs to outputs (``_MAPS``: determiner boxes,
+``Mult``, ``Proj``, ``Comult``, ``Counit``, ``FockLift``) has one definition,
+the outputs of one input tuple.  :func:`generator_entries` takes it over the
+whole input carrier or, when the contraction builds the generator from the
+values that reach its inputs, over those input tuples only.  The planner
+orders its steps by bounds on entry counts (:func:`_leaf_bound`) that read
+only the generator's kind, |U| and k.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -76,12 +85,16 @@ def carrier_size(w: WireType, size: int, k: int) -> int:
     raise SemanticsError(f"no carrier for wire type {w!r}")
 
 
+def _carrier_product(ws: Iterable[WireType], size: int, k: int) -> int:
+    return math.prod(carrier_size(w, size, k) for w in ws)
+
+
 def interp_object(
     w: WireType, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> list:
     """The finite carrier denoted by a wire type, canonically ordered."""
-    if k < 1:
-        raise SemanticsError("copy bound k must be >= 1")
+    if k < 1 or k > MAX_K:
+        raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
     size = carrier_size(w, m.size, k)
     if size > budget:
         raise SemanticsError(
@@ -98,10 +111,7 @@ def _iter_carrier(w: WireType, m: Model, k: int) -> Iterator:
     elif isinstance(w, ProductWire):
         yield from itertools.product(*(_iter_carrier(p, m, k) for p in w.parts))
     elif isinstance(w, FockWire):
-        base = list(_iter_carrier(w.inner, m, k))
-        for n in range(1, k + 1):
-            for items in itertools.product(base, repeat=n):
-                yield (items, n)
+        yield from _fock(_iter_carrier(w.inner, m, k), k)
     else:
         raise SemanticsError(f"no carrier for wire type {w!r}")
 
@@ -150,6 +160,51 @@ def _strip_nabla(f: Formula) -> Formula:
     return f
 
 
+def _fock(values: Iterable, k: int) -> Iterator[tuple]:
+    """The Fock elements ``(items, n)`` over `values`, for n = 1..k."""
+    values = list(values)
+    for n in range(1, k + 1):
+        for items in itertools.product(values, repeat=n):
+            yield (items, n)
+
+
+def _det_images(word: str, lifted: bool, m: Model, k: int, a: SubsetId) -> list:
+    """The noun-phrase values a determiner relates to the noun value `a`."""
+    xs = sorted(m.interp_determiner(word, a))
+    return list(_fock(xs, k)) if lifted else xs
+
+
+def _word_shape(f: Formula) -> str | None:
+    """A word's semantic role, read off its (nabla-free) formula shape.
+
+    One of noun, vp, pronoun, tv, det, det! (Fock-lifted result) and bang
+    (``!`` over another shape); None if no role fits.
+    """
+    if isinstance(f, Bang):
+        return "bang"
+    if isinstance(f, Atom) and f.name in ("n", "np"):
+        return "noun"
+    if isinstance(f, Under):
+        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
+        if left == Atom("np") and right in (Atom("s"), Atom("np")):
+            return "vp" if right == Atom("s") else "pronoun"
+    if isinstance(f, Over):
+        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
+        if (
+            isinstance(left, Under)
+            and _strip_nabla(left.left) == Atom("np")
+            and _strip_nabla(left.right) == Atom("s")
+            and right == Atom("np")
+        ):
+            return "tv"
+        if right == Atom("n"):
+            if left == Atom("np"):
+                return "det"
+            if isinstance(left, Bang) and _strip_nabla(left.inner) == Atom("np"):
+                return "det!"
+    return None
+
+
 def word_entries(word: str, f: Formula, m: Model, k: int) -> set[tuple]:
     """The relation a word denotes, as flat tuples over its output wires.
 
@@ -159,55 +214,48 @@ def word_entries(word: str, f: Formula, m: Model, k: int) -> set[tuple]:
     length 1..k.
     """
     f = _strip_nabla(f)
-    if isinstance(f, Bang):
-        inner = _strip_nabla(f.inner)
-        base = word_entries(word, inner, m, k)
-        elems = sorted({_group(t) for t in base}, key=repr)
-        out: set[tuple] = set()
-        for n in range(1, k + 1):
-            for items in itertools.product(elems, repeat=n):
-                out.add(((tuple(items), n),))
-        return out
-    if isinstance(f, Atom) and f.name in ("n", "np"):
+    shape = _word_shape(f)
+    if shape == "bang":
+        base = word_entries(word, f.inner, m, k)
+        return {(x,) for x in _fock(sorted({_group(t) for t in base}, key=repr), k)}
+    if shape == "noun":
         return {(m.unary_set(word),)}
-    if isinstance(f, Under):
-        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
-        if left == Atom("np") and right == Atom("s"):
-            # verb phrase: {(A, *) | A = [[v]]}
-            return {(m.unary_set(word), STAR)}
-        if left == Atom("np") and right == Atom("np"):
-            # pronoun: the identity pass-through
-            return {(a, a) for a in m.subsets()}
-    if isinstance(f, Over):
-        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
-        if (
-            isinstance(left, Under)
-            and _strip_nabla(left.left) == Atom("np")
-            and _strip_nabla(left.right) == Atom("s")
-            and right == Atom("np")
-        ):
-            # transitive verb: {(A, *, B) | A = [[v]](B)}
-            return {(m.forward_image(word, b), STAR, b) for b in m.subsets()}
-        if right == Atom("n"):
-            # determiner, result possibly Fock-lifted: np/n or !@np/n
-            res = _strip_nabla(left)
-            lifted = isinstance(res, Bang)
-            if lifted:
-                res = _strip_nabla(res.inner)
-            if res == Atom("np"):
-                out = set()
-                for a in m.subsets():
-                    xs = sorted(m.interp_determiner(word, a))
-                    if lifted:
-                        for n in range(1, k + 1):
-                            for items in itertools.product(xs, repeat=n):
-                                out.add(((tuple(items), n), a))
-                    else:
-                        out.update((x, a) for x in xs)
-                return out
+    if shape == "vp":
+        # verb phrase: {(A, *) | A = [[v]]}
+        return {(m.unary_set(word), STAR)}
+    if shape == "pronoun":
+        # pronoun: the identity pass-through
+        return {(a, a) for a in m.subsets()}
+    if shape == "tv":
+        # transitive verb: {(A, *, B) | A = [[v]](B)}
+        return {(m.forward_image(word, b), STAR, b) for b in m.subsets()}
+    if shape in ("det", "det!"):
+        # determiner, result possibly Fock-lifted: np/n or !@np/n
+        return {
+            (x, a)
+            for a in m.subsets()
+            for x in _det_images(word, shape == "det!", m, k, a)
+        }
     raise SemanticsError(
         f"no interpretation for {word!r} at formula shape {f!r}"
     )
+
+
+def _word_bound(f: Formula, size: int, k: int) -> int:
+    """An upper bound on the entries of ``word_entries`` at formula `f`."""
+    f = _strip_nabla(f)
+    shape = _word_shape(f)
+    if shape == "bang":
+        base = _word_bound(f.inner, size, k)
+        return sum(base**n for n in range(1, k + 1))
+    if shape in ("noun", "vp"):
+        return 1
+    if shape in ("pronoun", "tv"):
+        return 1 << size
+    if shape in ("det", "det!"):
+        return (1 << size) * carrier_size(formula_wires(f)[0], size, k)
+    # no role: building it raises; any bound will do
+    return _carrier_product(formula_wires(f), size, k)
 
 
 def interp_word_rel(word: str, f: Formula, m: Model, k: int = DEFAULT_K) -> FinRel:
@@ -216,67 +264,98 @@ def interp_word_rel(word: str, f: Formula, m: Model, k: int = DEFAULT_K) -> FinR
 
 # ---------------------------------------------------------------- generators
 
+# generators that map inputs to outputs, and those among them that give
+# at most one output tuple for each input tuple
+_FUNCTIONS = (Mult, Comult, Counit, Proj)
+_MAPS = _FUNCTIONS + (DetBox, FockLift)
 
-def generator_entries(g: Generator, m: Model, k: int) -> set[tuple]:
-    """Flat relation tuples (ins then outs) of a single generator."""
+
+def _map_of(g: Generator, m: Model, k: int):
+    """The one definition of a generator in ``_MAPS``: ``(outputs, domain)``.
+
+    ``outputs(ins)`` lists the output tuples related to one input tuple.
+    `domain` holds every input tuple that has any output, drawn from the
+    input carrier, so the relation is ``outputs`` taken over `domain`.
+    """
+    if isinstance(g, DetBox):
+        lifted = isinstance(g.outs[0], FockWire)
+        return (
+            lambda ins: [(x,) for x in _det_images(g.word, lifted, m, k, ins[0])],
+            ((a,) for a in m.subsets()),
+        )
+    if isinstance(g, Mult):
+        return (
+            lambda ins: [(ins[0] & ins[1],)],
+            itertools.product(m.subsets(), repeat=2),
+        )
+    if isinstance(g, Comult):
+        return lambda ins: [ins + ins], ((a,) for a in _iter_carrier(g.wtype, m, k))
+    if isinstance(g, Counit):
+        return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k))
+    if isinstance(g, Proj):
+        base = list(_iter_carrier(g.inner, m, k)) if g.n <= k else []
+        return (
+            lambda ins: [ins[0][0]] if ins[0][1] == g.n else [],
+            (((items, g.n),) for items in itertools.product(base, repeat=g.n)),
+        )
+    if isinstance(g, FockLift):
+        n_in = len(g.inner.input_types())
+        image: dict = {}
+        for t in _witness_counts(g.inner, m, k):
+            image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
+
+        def outputs(ins):
+            xs, n = ins[0]
+            images = (image.get(x, ()) for x in xs)
+            return [((ys, n),) for ys in itertools.product(*images)]
+
+        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k))
+    raise SemanticsError(f"{g.label} does not map inputs to outputs")
+
+
+def generator_entries(
+    g: Generator, m: Model, k: int, inputs: Iterable[tuple] | None = None
+) -> set[tuple]:
+    """Flat relation tuples (ins then outs) of a single generator.
+
+    With `inputs`, only the tuples whose input part is one of them; only a
+    generator that maps inputs to outputs (``_MAPS``) takes `inputs`.
+    """
+    if inputs is not None or isinstance(g, _MAPS):
+        outputs, domain = _map_of(g, m, k)
+        return {
+            ins + outs
+            for ins in (domain if inputs is None else inputs)
+            for outs in outputs(ins)
+        }
     if isinstance(g, State):
         return word_entries(g.word, g.formula, m, k)
-    if isinstance(g, DetBox):
-        out: set[tuple] = set()
-        lifted = isinstance(g.outs[0], FockWire)
-        for a in m.subsets():
-            xs = sorted(m.interp_determiner(g.word, a))
-            if lifted:
-                for n in range(1, k + 1):
-                    for items in itertools.product(xs, repeat=n):
-                        out.add((a, (tuple(items), n)))
-            else:
-                out.update((a, x) for x in xs)
-        return out
-    if isinstance(g, Mult):
-        return {(a, b, a & b) for a in m.subsets() for b in m.subsets()}
     if isinstance(g, Unit):
         if g.wtype == SWire():
             return {(STAR,)}
         return {(m.full_set,)}
-    if isinstance(g, Comult):
-        return {(a, a, a) for a in _iter_carrier(g.wtype, m, k)}
-    if isinstance(g, Counit):
-        return {(a,) for a in _iter_carrier(g.wtype, m, k)}
-    if isinstance(g, Cup):
-        return {(a, a) for a in _iter_carrier(g.wtype, m, k)}
-    if isinstance(g, Cap):
-        return {(a, a) for a in _iter_carrier(g.wtype, m, k)}
-    if isinstance(g, Id):
+    if isinstance(g, (Cup, Cap, Id)):
         return {(a, a) for a in _iter_carrier(g.wtype, m, k)}
     if isinstance(g, Swap):
         ins = list(itertools.product(*(_iter_carrier(w, m, k) for w in g.ins)))
         na = len(g.a)
         return {tuple(v) + tuple(v[na:] + v[:na]) for v in ins}
-    if isinstance(g, Proj):
-        inner = g.ins[0]
-        assert isinstance(inner, FockWire)
-        base = list(_iter_carrier(inner.inner, m, k))
-        if g.n > k:
-            return set()
-        return {
-            ((items, g.n),) + items
-            for items in itertools.product(base, repeat=g.n)
-        }
-    if isinstance(g, FockLift):
-        base = _witness_counts(g.inner, m, k)
-        n_in = len(g.inner.input_types())
-        graph = sorted(
-            {(_group(t[:n_in]), _group(t[n_in:])) for t in base}, key=repr
-        )
-        out = set()
-        for n in range(1, k + 1):
-            for pairs in itertools.product(graph, repeat=n):
-                src = (tuple(p[0] for p in pairs), n)
-                dst = (tuple(p[1] for p in pairs), n)
-                out.add((src, dst))
-        return out
     raise SemanticsError(f"no relational interpretation for {g.label}")
+
+
+def _leaf_bound(g: Generator, size: int, k: int) -> tuple[int, int | None]:
+    """Bounds on g's entries and, if g is in ``_MAPS``, on its fanout.
+
+    They read only the kind of g, |U| and k, so a plan can use them.
+    """
+    if isinstance(g, _MAPS):
+        fanout = 1 if isinstance(g, _FUNCTIONS) else _carrier_product(g.outs, size, k)
+        return _carrier_product(g.ins, size, k) * fanout, fanout
+    if isinstance(g, State):
+        return _word_bound(g.formula, size, k), None
+    if isinstance(g, Unit):
+        return 1, None
+    return _carrier_product(g.ins + g.outs, size, k), None
 
 
 def generator_rel(g: Generator, m: Model, k: int = DEFAULT_K) -> FinRel:
@@ -292,7 +371,11 @@ def _plan(d: Diagram, size: int, k: int) -> Plan:
     report = typecheck_report(d)
     if report is not None:
         raise DiagramError(f"cannot evaluate an ill-typed diagram: {report}")
-    return plan_network(extract_network(d), lambda w: carrier_size(w, size, k))
+    return plan_network(
+        extract_network(d),
+        lambda w: carrier_size(w, size, k),
+        lambda g: _leaf_bound(g, size, k),
+    )
 
 
 def _witness_counts(
@@ -308,7 +391,7 @@ def _witness_counts(
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
     return contract_network(
         _plan(d, m.size, k),
-        lambda tn: generator_entries(tn.gen, m, k),
+        lambda tn, inputs: generator_entries(tn.gen, m, k, inputs),
         lambda w: carrier_size(w, m.size, k),
         budget,
     )

@@ -8,6 +8,7 @@ from conftest import DONKEY, data_path
 
 from lamsem import diagram_from_json, proof_from_json
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
+from lamsem.planner import STEP_TRACE
 
 
 def run(capsys, *argv):
@@ -163,6 +164,29 @@ def test_eval_float_backend(capsys):
     )
     assert code == EXIT_OK
     assert "vec: 32.0" in out
+
+
+@pytest.mark.parametrize(
+    "sentence, model",
+    [
+        (DONKEY, "model_donkey_true.json"),
+        (DONKEY, "model_donkey_false.json"),
+        ("dogs eat snacks", "model_dogs.json"),
+    ],
+)
+def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
+    argv = ("eval", sentence, "--model", str(data_path(model)), "--backend", "both")
+    code, out, err = run(capsys, *argv)
+    traced_code, traced_out, traced_err = run(capsys, *argv, "--trace")
+    assert (traced_code, traced_out) == (code, out) and err == ""
+    assert STEP_TRACE.get() is None  # reset when main returns
+    steps = [json.loads(line) for line in traced_err.splitlines()]
+    assert steps and all(
+        set(s) == {"step", "slots", "from_keys", "entries_in", "entries_out"}
+        for s in steps
+    )
+    if sentence == DONKEY:  # its determiners are built from their nouns alone
+        assert any(s["from_keys"] and s["entries_in"][0] == 1 for s in steps)
 
 
 def test_eval_ungrammatical_is_an_error(capsys):

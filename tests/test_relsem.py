@@ -2,6 +2,7 @@
 laws, and the end-to-end truth conditions."""
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -89,6 +90,12 @@ def test_interp_object_budget():
         interp_object(N, small_model(2), k=0)
 
 
+def test_interp_object_rejects_k_above_the_maximum():
+    assert len(interp_object(N, small_model(2), k=relsem.MAX_K)) == 4
+    with pytest.raises(SemanticsError, match="1..3"):
+        interp_object(N, small_model(2), k=4)
+
+
 # ------------------------------------------------------- model operations
 
 
@@ -171,6 +178,53 @@ def test_generator_focklift_of_identity():
     r = generator_rel(FockLift(inner), m, k=2)
     assert all(src == dst for src, dst in r.pairs)
     assert len(r.pairs) == 2 + 4
+
+
+def input_driven_generators():
+    """Every kind of generator that maps inputs to outputs, one or more each."""
+    mult = Diagram((Mult(),), (), ((0, 0), (0, 1)), ((0, 0),))
+    det = DetBox("a", parse_formula("np/n", ATOMS))
+    some = Diagram((det,), (), ((0, 0),), ((0, 0),))
+    return [
+        DetBox("every", parse_formula("np/n", ATOMS)),
+        DetBox("a", parse_formula("(!@np)/n", ATOMS)),
+        Mult(),
+        Proj(1, N),
+        Proj(2, N),
+        Proj(3, N),
+        Comult(N),
+        Comult(FockWire(N)),
+        Counit(N),
+        FockLift(some),
+        FockLift(mult),
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_build_from_inputs_is_the_filtered_relation(size, k):
+    """Built from input tuples, a generator gives exactly the tuples of its
+    whole relation whose inputs are among them (the empty set included)."""
+    from lamsem.relsem import generator_entries
+
+    m = Model(
+        universe=tuple(f"e{i}" for i in range(size)),
+        determiners={"every": "every", "a": "some"},
+    )
+    rng = random.Random(1000 * size + k)
+    generators = input_driven_generators()
+    assert {type(g) for g in generators} == set(relsem._MAPS)
+    for g in generators:
+        if relsem._carrier_product(g.ins, size, k) > 5000:
+            continue  # the Fock-lifted Mult at |U| = 3, k = 3
+        carrier = list(itertools.product(*(interp_object(w, m, k) for w in g.ins)))
+        whole = generator_entries(g, m, k)
+        assert generator_entries(g, m, k, carrier) == whole
+        n_in = len(g.ins)
+        for n in (0, 1, 2, len(carrier) // 3):
+            keys = set(rng.sample(carrier, min(n, len(carrier))))
+            want = {t for t in whole if t[:n_in] in keys}
+            assert generator_entries(g, m, k, keys) == want, (g.label, keys)
 
 
 # ----------------------------------------------------------- algebraic laws
@@ -466,3 +520,45 @@ def test_ill_typed_diagram_raises_on_every_call(model_dogs):
         with pytest.raises(DiagramError):
             eval_diagram_rel(bad, model_dogs)
 
+
+
+def test_donkey_matches_the_reference_at_four_entities(lexicon):
+    d = sentence_diagram(lexicon, DONKEY)
+    rng = random.Random(41)
+    seen = Counter()
+    while min(seen[True], seen[False]) < 2:
+        m = random_donkey_model(rng, 4)
+        truth = donkey_oracle(m)
+        if seen[truth] == 2:
+            continue
+        seen[truth] += 1
+        want = reference_counts(d, m, 2)
+        assert relsem._witness_counts(d, m, 2) == want
+        assert bool(want) == truth == rel_true(eval_diagram_rel(d, m, 2))
+
+
+def test_donkey_builds_few_generator_entries(lexicon, monkeypatch):
+    """Leaves built from the values that reach them stay small at |U| = 5:
+    the whole relations come to about 23.5k entries per evaluation."""
+    d = sentence_diagram(lexicon, DONKEY)
+    built = []
+    real = relsem.generator_entries
+
+    def counted(*args):
+        entries = real(*args)
+        built.append(len(entries))
+        return entries
+
+    monkeypatch.setattr(relsem, "generator_entries", counted)
+    rng = random.Random(5)
+    models = [random_donkey_model(rng, 5) for _ in range(4)]
+    everything = Model(
+        universe=models[0].universe,
+        unary={"farmer": 31, "donkey": 31},
+        binary={"owns": frozenset(), "beats": frozenset()},
+        determiners={"every": "every", "a": "some"},
+    )
+    for m in models + [everything]:
+        built.clear()
+        assert rel_true(eval_diagram_rel(d, m, 2)) == donkey_oracle(m)
+        assert 0 < sum(built) < 5000
