@@ -17,7 +17,7 @@ from .formula import FormulaSyntaxError, format_sequent, parse_formula
 from .lexicon import Lexicon, LexiconError, sentence_to_sequents
 from .model import Model, ModelError
 from .planner import STEP_TRACE
-from .prover import SearchConfig, prove, proof_to_json, proof_to_text
+from .prover import SEARCH_TRACE, SearchConfig, prove, proof_to_json, proof_to_text
 from .relsem import MAX_K, SemanticsError, eval_diagram_rel
 from .vecsem import check_equivalence, eval_diagram_vec
 
@@ -191,19 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace",
             action="store_true",
-            help="print each contraction step as a JSON line on stderr",
+            help="print the counters of each proof search and each contraction "
+            "step as JSON lines on stderr",
         )
         p.set_defaults(fn=fn)
     return parser
 
 
-def _print_step(step: dict) -> None:
-    print(json.dumps(step), file=sys.stderr)
+def _print_trace(record: dict) -> None:
+    print(json.dumps(record), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    trace = STEP_TRACE.set(_print_step if args.trace else None)
+    emit = _print_trace if args.trace else None
+    search_trace = SEARCH_TRACE.set(emit)
+    step_trace = STEP_TRACE.set(emit)
     try:
         if not 1 <= args.k <= MAX_K:
             raise CliError(f"copy bound k must be in 1..{MAX_K}")
@@ -220,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        STEP_TRACE.reset(trace)
+        STEP_TRACE.reset(step_trace)
+        SEARCH_TRACE.reset(search_trace)
 
 
 if __name__ == "__main__":

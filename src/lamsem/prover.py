@@ -5,13 +5,19 @@ movable (``@``-rooted) antecedent formula is treated as relocatable: before
 matching any other rule the searcher may move movable formulas to arbitrary
 positions, and every such move is recorded as an explicit Perm node so the
 emitted tree remains checkable against the rule schemas.
+
+A sequent not yet in the memo is first given the count check
+:func:`~lamsem.formula.count_excludes_zero`: when some atom's signed count
+cannot balance for any number of ``!`` copies up to k, the sequent is
+unprovable and is dropped without trying a rule.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from .formula import (
     Atom,
@@ -22,7 +28,7 @@ from .formula import (
     Sequent,
     Tensor,
     Under,
-    atom_balance,
+    count_excludes_zero,
     format_formula,
     format_sequent,
     is_nabla_rooted,
@@ -202,6 +208,13 @@ def _wrap_perms(
     return tree
 
 
+# Called with one dict of search counters per ``prove`` call while set
+# (``lamsem … --trace`` prints them); None, the default, costs one lookup.
+SEARCH_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
+    "SEARCH_TRACE", default=None
+)
+
+
 class _Searcher:
     _NODE_CAP = 64
 
@@ -210,18 +223,24 @@ class _Searcher:
         # sequent -> (proofs, exhaustive, depth budget the entry was computed at)
         self.memo: dict[Sequent, tuple[tuple[ProofTree, ...], bool, int]] = {}
         self.truncated = False  # whether _NODE_CAP dropped any proof
+        self.nodes = 0  # sequents whose rules were tried
+        self.memo_hits = 0
+        self.pruned = 0  # sequents cut by count_excludes_zero
 
     def search(self, seq: Sequent, depth: int) -> tuple[tuple[ProofTree, ...], bool]:
-        balance = atom_balance(seq)
-        if balance is not None and any(v != 0 for v in balance.values()):
-            return (), True
         hit = self.memo.get(seq)
         if hit is not None:
             proofs, exhaustive, at_depth = hit
             if exhaustive or at_depth >= depth:
+                self.memo_hits += 1
                 return proofs, exhaustive
+        # a memoized sequent passed the count check; pruned ones are never memoized
+        elif count_excludes_zero(seq, self.cfg.k):
+            self.pruned += 1
+            return (), True
         if depth <= 0:
             return (), False
+        self.nodes += 1
         proofs: list[ProofTree] = []
         exhaustive = True
         for ant, moves in _movable_arrangements(seq.antecedent):
@@ -334,6 +353,19 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             seen.add(key)
             unique.append(t)
     unique.sort(key=proof_to_text)
+    trace = SEARCH_TRACE.get()
+    if trace is not None:
+        trace({
+            "search": format_sequent(seq),
+            "k": cfg.k,
+            "nodes": searcher.nodes,
+            "memo_hits": searcher.memo_hits,
+            "memo_size": len(searcher.memo),
+            "pruned": searcher.pruned,
+            "raw_proofs": len(raw),
+            "unique_proofs": len(unique),
+            "capped": searcher.truncated,
+        })
     if not cfg.enumerate_all:
         unique = unique[: cfg.max_proofs]
     return SearchResult(tuple(unique), exhaustive and not searcher.truncated)

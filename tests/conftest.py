@@ -1,11 +1,15 @@
 """Shared fixtures: bundled lexicon/models and pipeline helpers."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import lamsem
 from lamsem import (
     Lexicon,
     Model,
@@ -16,6 +20,25 @@ from lamsem import (
     substitute_wirings,
 )
 from lamsem.formula import parse_formula
+
+
+# Every lamsem module, imported now, before the test files are collected, so
+# that this is the program they import.  ``bench/run.set_up`` drops lamsem
+# from ``sys.modules`` and imports it afresh; after a bench test has run, a
+# test here would otherwise mix classes from two copies of one module.
+for _info in pkgutil.iter_modules(lamsem.__path__):
+    importlib.import_module(f"lamsem.{_info.name}")
+COLLECTED = {
+    name: mod
+    for name, mod in sys.modules.items()
+    if name == "lamsem" or name.startswith("lamsem.")
+}
+
+
+@pytest.fixture(autouse=True)
+def collected_program():
+    """Put back the lamsem modules the test files were collected against."""
+    sys.modules.update(COLLECTED)
 
 
 def data_path(name: str) -> Path:

@@ -9,6 +9,7 @@ from conftest import DONKEY, data_path
 from lamsem import diagram_from_json, proof_from_json
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
 from lamsem.planner import STEP_TRACE
+from lamsem.prover import SEARCH_TRACE
 
 
 def run(capsys, *argv):
@@ -180,13 +181,47 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     traced_code, traced_out, traced_err = run(capsys, *argv, "--trace")
     assert (traced_code, traced_out) == (code, out) and err == ""
     assert STEP_TRACE.get() is None  # reset when main returns
-    steps = [json.loads(line) for line in traced_err.splitlines()]
+    records = [json.loads(line) for line in traced_err.splitlines()]
+    steps = [r for r in records if "step" in r]
+    searches = [r for r in records if "search" in r]
+    assert len(steps) + len(searches) == len(records)
+    assert searches and all(set(r) == SEARCH_KEYS for r in searches)
     assert steps and all(
         set(s) == {"step", "slots", "from_keys", "entries_in", "entries_out"}
         for s in steps
     )
     if sentence == DONKEY:  # its determiners are built from their nouns alone
         assert any(s["from_keys"] and s["entries_in"][0] == 1 for s in steps)
+
+
+SEARCH_KEYS = {
+    "search", "k", "nodes", "memo_hits", "memo_size", "pruned",
+    "raw_proofs", "unique_proofs", "capped",
+}
+
+
+@pytest.mark.parametrize("command", ["prove", "diagram"])
+@pytest.mark.parametrize(
+    "sentence", ["every farmer owns a donkey", "john sleeps. he snores.", "dogs dogs eat"]
+)
+def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
+    code, out, err = run(capsys, command, sentence)
+    traced_code, traced_out, traced_err = run(capsys, command, sentence, "--trace")
+    assert (traced_code, traced_out) == (code, out)
+    assert SEARCH_TRACE.get() is None  # reset when main returns
+    # the traced stderr is the search lines, then the plain run's stderr
+    lines = traced_err.splitlines()
+    n = len(lines) - len(err.splitlines())
+    assert "\n".join(lines[n:]) == err.rstrip("\n")
+    searches = [json.loads(line) for line in lines[:n]]
+    assert searches and all(set(r) == SEARCH_KEYS for r in searches)
+    if command == "prove":  # one line per sequent tried, in the order prove lists them
+        tried = [line.split("  [")[0] for line in out.splitlines() if line.startswith("sequent: ")]
+        assert [f"sequent: {r['search']}" for r in searches] == tried
+    assert all(r["raw_proofs"] >= r["unique_proofs"] for r in searches)
+    if sentence == "every farmer owns a donkey":
+        assert code == EXIT_OK and searches[-1]["pruned"] > 0
+        assert searches[-1]["unique_proofs"] > 0
 
 
 def test_eval_ungrammatical_is_an_error(capsys):

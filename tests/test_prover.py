@@ -1,14 +1,50 @@
 """Proof search: golden derivations, soundness, and search behavior."""
+import itertools
+import runpy
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lamsem import SearchConfig, check_proof, prove
-from lamsem.formula import Atom, parse_sequent
+from lamsem import SearchConfig, check_proof, prove, prover
+from lamsem.formula import (
+    Atom,
+    Bang,
+    Nabla,
+    Over,
+    Sequent,
+    Tensor,
+    Under,
+    count_excludes_zero,
+    parse_formula,
+    parse_sequent,
+)
 from lamsem.lexicon import sentence_to_sequents
 from lamsem.prover import proof_from_json, proof_to_json, proof_to_text
 
 from conftest import DONKEY, find_proofs
+
+
+def discourse_provable(n: int, j: int, k: int) -> bool:
+    """``bench/oracle.discourse_provable``: a resource count made without lamsem."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    return runpy.run_path(str(path))["discourse_provable"](n, j, k)
+
+
+def prove_unpruned(seq, cfg):
+    """`prove` with the count check switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover, "count_excludes_zero", lambda s, k: False)
+        return prove(seq, cfg)
+
+
+def assert_pruning_changes_nothing(seq, cfg):
+    """Same proofs in the same order; `exhaustive` only False -> True."""
+    pruned, unpruned = prove(seq, cfg), prove_unpruned(seq, cfg)
+    assert [proof_to_text(p) for p in pruned] == [proof_to_text(p) for p in unpruned]
+    assert pruned.exhaustive or not unpruned.exhaustive
+    return pruned
 
 
 def test_golden_transitive_sentence():
@@ -85,12 +121,17 @@ def test_proof_cap_is_reported_as_not_exhaustive(lexicon):
 
 
 def test_copy_bound_is_respected():
-    # two pronouns referring back need three antecedent copies: k=2 fails
-    seq = parse_sequent(
-        "!@np, np\\s, @np\\np, np\\s, @np\\np, np\\s -> s.s.s"
-    )
-    assert not prove(seq, SearchConfig(k=2)).proofs
-    assert prove(seq, SearchConfig(k=3)).proofs
+    for text, k in (
+        # two pronouns referring back need three antecedent copies
+        ("!@np, np\\s, @np\\np, np\\s, @np\\np, np\\s -> s.s.s", 2),
+        # without copying, two names cannot feed three verbs
+        ("!@np, np\\s, !@np, np\\s, @np\\np, np\\s -> s.s.s", 1),
+    ):
+        seq = parse_sequent(text)
+        short = prove(seq, SearchConfig(k=k))
+        assert not short.proofs
+        assert short.exhaustive is True  # the counts exclude it: definitively unprovable
+        assert prove(seq, SearchConfig(k=k + 1)).proofs
 
 
 def test_k_monotonicity():
@@ -119,3 +160,116 @@ def test_proof_json_round_trip():
 def test_invalid_k_rejected():
     with pytest.raises(ValueError):
         SearchConfig(k=0)
+
+
+# ------------------------------------------------------------ count pruning
+
+NAME, PRONOUN, VERB = "!@np", "@np\\np", "np\\s"
+LEXICON_SENTENCES = [
+    ("dogs eat snacks", "s"),
+    ("every dog eats snacks", "s"),
+    ("some dog eats snacks", "s"),
+    ("dogs who eat snacks", "np"),
+    ("john sleeps he snores", "s.s"),
+    (DONKEY, "s"),
+    ("a farmer owns a donkey", "s"),
+    ("every farmer owns a donkey", "s"),  # unpruned at k=3 it runs for minutes
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n, j", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
+def test_pruning_keeps_the_proofs_of_synthetic_discourses(n, j, k):
+    want = discourse_provable(n, j, k)
+    rest = [NAME] * (n - 1) + [PRONOUN] * j
+    for order in sorted({(NAME,) + p for p in itertools.permutations(rest)}):
+        ant = ", ".join(f"{f}, {VERB}" for f in order)
+        seq = parse_sequent(f"{ant} -> {'.'.join(['s'] * (n + j))}")
+        result = assert_pruning_changes_nothing(seq, SearchConfig(k=k))
+        assert bool(result.proofs) == want, order
+        if not want:
+            assert result.exhaustive
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sentence, goal", LEXICON_SENTENCES)
+def test_pruning_keeps_the_proofs_of_lexicon_sentences(lexicon, sentence, goal, k):
+    goal_f = parse_formula(goal, lexicon.atoms)
+    for seq in sentence_to_sequents(sentence.split(), lexicon, goal_f):
+        assert_pruning_changes_nothing(seq, SearchConfig(k=k))
+
+
+def test_pruning_takes_the_cliff_off_every_farmer_owns_a_donkey():
+    seq = parse_sequent("np/n, n, np\\s/np, !@(!@np/n), n -> s")
+    for k, limit in ((2, 0.1), (3, 1.0)):
+        t0 = time.monotonic()
+        result = prove(seq, SearchConfig(k=k))
+        assert time.monotonic() - t0 < limit
+        assert result.proofs and result.exhaustive
+
+
+@pytest.mark.parametrize(
+    "text, k, excluded",
+    [
+        ("np, np\\s -> s", 1, False),
+        ("np, np, np\\s -> s", 3, True),  # no `!`: the plain balance test
+        ("!np, np\\s -> s", 3, False),
+        ("!np, np\\s, np\\s, np\\s -> s.s.s", 3, False),
+        ("!np, np\\s, np\\s, np\\s -> s.s.s", 2, True),  # one copy short
+        # nested: the body's [2, 3] copied once or twice gives [2, 6]
+        ("!(!np.np), " + ", ".join(["np\\s"] * 6) + " -> " + ".".join("s" * 6), 2, False),
+        ("!(!np.np), " + ", ".join(["np\\s"] * 7) + " -> " + ".".join("s" * 7), 2, True),
+        ("np, np\\s -> !s", 3, False),
+        ("np, np, np\\s -> !(np\\s)", 3, True),  # a goal `!` counts once
+        ("np -> !np.!np", 3, True),
+        ("!np -> !np.!np", 2, False),
+    ],
+)
+def test_count_intervals(text, k, excluded):
+    assert count_excludes_zero(parse_sequent(text), k) is excluded
+
+
+def _modalities(f) -> int:
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (Bang, Nabla)):
+        return 1 + _modalities(f.inner)
+    return _modalities(f.left) + _modalities(f.right)
+
+
+_atoms = st.sampled_from([Atom("np"), Atom("s")])
+_prefix = st.sampled_from([lambda f: f] * 3 + [Bang, Nabla, lambda f: Bang(Nabla(f))])
+
+
+def _prefixed(formulas):
+    return st.builds(lambda wrap, f: wrap(f), _prefix, formulas)
+
+
+_formulas = st.recursive(
+    _prefixed(_atoms),
+    lambda inner: _prefixed(
+        st.one_of(
+            st.builds(Under, inner, inner),
+            st.builds(Over, inner, inner),
+            st.builds(Tensor, inner, inner),
+        )
+    ),
+    max_leaves=3,
+)
+# few modalities: the unpruned search permutes every `@` copy that `!` makes
+_sequents = st.builds(
+    Sequent, st.lists(_formulas, min_size=1, max_size=3).map(tuple), _formulas
+).filter(
+    lambda s: 0 < sum(_modalities(f) for f in (*s.antecedent, s.succedent)) <= 3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequents, st.integers(1, 3))
+def test_count_check_holds_on_every_proved_sequent(seq, k):
+    cfg = SearchConfig(k=k, depth_limit=4, enumerate_all=True)
+    stack = list(prove_unpruned(seq, cfg).proofs)
+    while stack:
+        node = stack.pop()
+        assert not count_excludes_zero(node.conclusion, k), proof_to_text(node)
+        stack.extend(node.premises)
