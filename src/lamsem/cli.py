@@ -12,7 +12,13 @@ from importlib import resources
 from pathlib import Path
 
 from .checker import check_proof_report
-from .diagram import export, proof_to_diagram, substitute_wirings, swap_erased_key
+from .diagram import (
+    REWRITE_TRACE,
+    export,
+    proof_to_diagram,
+    substitute_wirings,
+    swap_erased_key,
+)
 from .formula import FormulaSyntaxError, format_sequent, parse_formula
 from .lexicon import Lexicon, LexiconError, sentence_to_sequents
 from .model import Model, ModelError
@@ -191,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace",
             action="store_true",
-            help="print the counters of each proof search and each contraction "
-            "step as JSON lines on stderr",
+            help="print the counters of each proof search (pruned and memo_size "
+            "count distinct sequents), the rewrites of each wiring substitution "
+            "and each contraction step as JSON lines on stderr",
         )
         p.set_defaults(fn=fn)
     return parser
@@ -206,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     emit = _print_trace if args.trace else None
     search_trace = SEARCH_TRACE.set(emit)
+    rewrite_trace = REWRITE_TRACE.set(emit)
     step_trace = STEP_TRACE.set(emit)
     try:
         if not 1 <= args.k <= MAX_K:
@@ -224,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     finally:
         STEP_TRACE.reset(step_trace)
+        REWRITE_TRACE.reset(rewrite_trace)
         SEARCH_TRACE.reset(search_trace)
 
 

@@ -10,8 +10,9 @@ discarding is semantically a no-op).
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .formula import (
     Atom,
@@ -1127,11 +1128,34 @@ def _rewrite_id(mut: _Mut) -> bool:
     return False
 
 
+_LEX_REWRITES = (
+    _rewrite_proj1_absorb,
+    _rewrite_detbox,
+    _rewrite_relpro,
+    _rewrite_pronoun,
+)
 _REWRITES = (
     _rewrite_snake,
     _rewrite_s_erasure,
     _rewrite_id,
 )
+
+# Called with one dict of rewrite counts per ``substitute_wirings`` call while
+# set (``lamsem … --trace`` prints them); None, the default, costs one lookup.
+REWRITE_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
+    "REWRITE_TRACE", default=None
+)
+
+
+def _rewrite_once(mut: _Mut, lex: Lexicon) -> Optional[Callable]:
+    """Apply the first rewrite that matches; it, or None if none does."""
+    for rw in _LEX_REWRITES:
+        if rw(mut, lex):
+            return rw
+    for rw in _REWRITES:
+        if rw(mut):
+            return rw
+    return None
 
 
 # ------------------------------------------------------------ swap normal form
@@ -1319,20 +1343,21 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
         raise DiagramError(f"ill-typed diagram: {report}")
     mut = _Mut.from_diagram(d)
     _splice_all_swaps(mut)
-    changed = True
-    while changed:
-        changed = (
-            _rewrite_proj1_absorb(mut, lex)
-            or _rewrite_detbox(mut, lex)
-            or _rewrite_relpro(mut, lex)
-            or _rewrite_pronoun(mut, lex)
-            or any(rw(mut) for rw in _REWRITES)
-        )
+    fired = dict.fromkeys(_LEX_REWRITES + _REWRITES, 0)
+    while (rw := _rewrite_once(mut, lex)) is not None:
+        fired[rw] += 1
     _reinsert_swaps(mut)
     out = mut.freeze()
     report = typecheck_report(out)
     if report is not None:
         raise DiagramError(f"wiring substitution broke the diagram: {report}")
+    trace = REWRITE_TRACE.get()
+    if trace is not None:
+        trace({
+            "rewrites": {
+                rw.__name__.removeprefix("_rewrite_"): n for rw, n in fired.items()
+            }
+        })
     return out
 
 

@@ -4,6 +4,13 @@ Connectives: ``\\`` (left division), ``/`` (right division), ``.``
 (concatenation), ``!`` (copyable modality) and ``@`` (movable modality).
 Unary prefixes bind tightest, the two slashes share one precedence level
 and associate left-to-right, ``.`` binds loosest.
+
+Formulas and sequents are immutable, so what is derived from one is
+computed on first use and kept on the object: its hash (the value the
+dataclass gives, ``hash`` of the field tuple), a formula's text
+(:func:`format_formula`) and its signed atom-count intervals
+(:func:`count_excludes_zero`).  Pickling and copying drop them, since the
+hash of a string differs between processes.
 """
 from __future__ import annotations
 
@@ -20,15 +27,40 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+def _fields_only(self) -> dict:
+    """Pickle and copy state: the fields, without the values kept on first use."""
+    return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+def _hash_once(cls):
+    """Keep the dataclass hash of each object of `cls` once it is computed,
+    and pickle and copy its objects without what they keep."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = _fields_only
+    return cls
+
+
 class Formula:
     __slots__ = ()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Under(Formula):
     """left \\ right"""
@@ -37,6 +69,7 @@ class Under(Formula):
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Over(Formula):
     """left / right"""
@@ -45,17 +78,20 @@ class Over(Formula):
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Tensor(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Bang(Formula):
     inner: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Nabla(Formula):
     inner: Formula
@@ -161,32 +197,38 @@ def _prec(f: Formula) -> int:
     return _PREC_TENSOR
 
 
-def _fmt(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bang):
-        body = "!" + _fmt(f.inner, _PREC_UNARY)
-    elif isinstance(f, Nabla):
-        body = "@" + _fmt(f.inner, _PREC_UNARY)
-    elif isinstance(f, (Under, Over)):
-        op = "\\" if isinstance(f, Under) else "/"
-        body = _fmt(f.left, _PREC_SLASH) + op + _fmt(f.right, _PREC_SLASH + 1)
-    else:
-        assert isinstance(f, Tensor)
-        body = _fmt(f.left, _PREC_TENSOR) + "." + _fmt(f.right, _PREC_TENSOR + 1)
-    if _prec(f) < min_prec:
-        return "(" + body + ")"
-    return body
+def _operand(f: Formula, min_prec: int) -> str:
+    """The text of `f` as an operand that binds at least `min_prec`."""
+    text = format_formula(f)
+    return text if _prec(f) >= min_prec else "(" + text + ")"
 
 
 def format_formula(f: Formula) -> str:
     """Inverse of :func:`parse_formula`, with minimal parentheses."""
-    return _fmt(f, 0)
+    try:
+        return f._text
+    except AttributeError:
+        pass
+    if isinstance(f, Atom):
+        text = f.name
+    elif isinstance(f, Bang):
+        text = "!" + _operand(f.inner, _PREC_UNARY)
+    elif isinstance(f, Nabla):
+        text = "@" + _operand(f.inner, _PREC_UNARY)
+    elif isinstance(f, (Under, Over)):
+        op = "\\" if isinstance(f, Under) else "/"
+        text = _operand(f.left, _PREC_SLASH) + op + _operand(f.right, _PREC_SLASH + 1)
+    else:
+        assert isinstance(f, Tensor)
+        text = _operand(f.left, _PREC_TENSOR) + "." + _operand(f.right, _PREC_TENSOR + 1)
+    object.__setattr__(f, "_text", text)
+    return text
 
 
 # --------------------------------------------------------------- sequents
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Sequent:
     antecedent: tuple[Formula, ...]
@@ -235,31 +277,46 @@ def formula_size(f: Formula) -> int:
     return 1 + formula_size(f.left) + formula_size(f.right)
 
 
-def _add_counts(
-    f: Formula, sign: int, k: int, acc: dict[str, tuple[int, int]]
-) -> None:
-    """Add the signed atom-count interval of `f`, taken with `sign`, to acc."""
-    if isinstance(f, Atom):
-        lo, hi = acc.get(f.name, (0, 0))
-        acc[f.name] = (lo + sign, hi + sign)
-    elif isinstance(f, Bang) and sign > 0:
-        body: dict[str, tuple[int, int]] = {}
-        _add_counts(f.inner, sign, k, body)
-        for name, (lo, hi) in body.items():
+_Intervals = dict[str, tuple[int, int]]
+
+
+def _sum(parts) -> _Intervals:
+    acc: _Intervals = {}
+    for part in parts:
+        for name, (lo, hi) in part.items():
             a, b = acc.get(name, (0, 0))
-            acc[name] = (a + min(lo, k * lo), b + max(hi, k * hi))
+            acc[name] = (a + lo, b + hi)
+    return acc
+
+
+def _intervals(f: Formula, sign: int, k: int) -> _Intervals:
+    """The signed atom-count intervals of `f` taken with `sign`, kept on `f`."""
+    try:
+        kept = f._counts
+    except AttributeError:
+        kept = {}
+        object.__setattr__(f, "_counts", kept)
+    got = kept.get((sign, k))
+    if got is not None:
+        return got
+    if isinstance(f, Atom):
+        got = {f.name: (sign, sign)}
+    elif isinstance(f, Bang) and sign > 0:
+        got = {
+            name: (min(lo, k * lo), max(hi, k * hi))
+            for name, (lo, hi) in _intervals(f.inner, sign, k).items()
+        }
     elif isinstance(f, (Bang, Nabla)):
-        _add_counts(f.inner, sign, k, acc)
+        got = _intervals(f.inner, sign, k)
     elif isinstance(f, Under):
-        _add_counts(f.left, -sign, k, acc)
-        _add_counts(f.right, sign, k, acc)
+        got = _sum((_intervals(f.left, -sign, k), _intervals(f.right, sign, k)))
     elif isinstance(f, Over):
-        _add_counts(f.left, sign, k, acc)
-        _add_counts(f.right, -sign, k, acc)
+        got = _sum((_intervals(f.left, sign, k), _intervals(f.right, -sign, k)))
     else:
         assert isinstance(f, Tensor)
-        _add_counts(f.left, sign, k, acc)
-        _add_counts(f.right, sign, k, acc)
+        got = _sum((_intervals(f.left, sign, k), _intervals(f.right, sign, k)))
+    kept[(sign, k)] = got
+    return got
 
 
 def count_excludes_zero(s: Sequent, k: int) -> bool:
@@ -289,8 +346,6 @@ def count_excludes_zero(s: Sequent, k: int) -> bool:
     [!A].  So this returns True only for unprovable sequents, and a search
     that prunes on it drops only subtrees that yield no proofs.
     """
-    acc: dict[str, tuple[int, int]] = {}
-    for f in s.antecedent:
-        _add_counts(f, 1, k, acc)
-    _add_counts(s.succedent, -1, k, acc)
-    return any(lo > 0 or hi < 0 for lo, hi in acc.values())
+    parts = [_intervals(f, 1, k) for f in s.antecedent]
+    parts.append(_intervals(s.succedent, -1, k))
+    return any(lo > 0 or hi < 0 for lo, hi in _sum(parts).values())

@@ -9,7 +9,7 @@ emitted tree remains checkable against the rule schemas.
 A sequent not yet in the memo is first given the count check
 :func:`~lamsem.formula.count_excludes_zero`: when some atom's signed count
 cannot balance for any number of ``!`` copies up to k, the sequent is
-unprovable and is dropped without trying a rule.
+unprovable and is memoized as fully explored without trying a rule.
 """
 from __future__ import annotations
 
@@ -69,6 +69,9 @@ RULES = frozenset(
 
 @dataclass(frozen=True)
 class ProofTree:
+    """A proof node; `data` holds the rule's parameters in name order, as
+    :func:`proof_from_json_dict` reads them back."""
+
     rule: str
     conclusion: Sequent
     premises: tuple["ProofTree", ...] = ()
@@ -203,7 +206,7 @@ def _wrap_perms(
             rule=PERM,
             conclusion=Sequent(ant, succ),
             premises=(tree,),
-            data=(("src", src), ("dst", dst)),
+            data=(("dst", dst), ("src", src)),
         )
     return tree
 
@@ -225,7 +228,7 @@ class _Searcher:
         self.truncated = False  # whether _NODE_CAP dropped any proof
         self.nodes = 0  # sequents whose rules were tried
         self.memo_hits = 0
-        self.pruned = 0  # sequents cut by count_excludes_zero
+        self.pruned = 0  # distinct sequents cut by count_excludes_zero
 
     def search(self, seq: Sequent, depth: int) -> tuple[tuple[ProofTree, ...], bool]:
         hit = self.memo.get(seq)
@@ -234,9 +237,11 @@ class _Searcher:
             if exhaustive or at_depth >= depth:
                 self.memo_hits += 1
                 return proofs, exhaustive
-        # a memoized sequent passed the count check; pruned ones are never memoized
+        # each sequent is checked once: one the counts exclude is unprovable at
+        # every depth, so it is memoized as fully explored
         elif count_excludes_zero(seq, self.cfg.k):
             self.pruned += 1
+            self.memo[seq] = ((), True, depth)
             return (), True
         if depth <= 0:
             return (), False
@@ -283,7 +288,7 @@ class _Searcher:
             if isinstance(f, Bang):
                 for copies in range(1, self.cfg.k + 1):
                     premise = ant[:pos] + (f.inner,) * copies + ant[pos + 1 :]
-                    yield BANG_L, (("pos", pos), ("n", copies)), [Sequent(premise, succ)]
+                    yield BANG_L, (("n", copies), ("pos", pos)), [Sequent(premise, succ)]
             elif isinstance(f, Nabla):
                 premise = ant[:pos] + (f.inner,) + ant[pos + 1 :]
                 yield NABLA_L, (("pos", pos),), [Sequent(premise, succ)]
@@ -323,18 +328,40 @@ class _Searcher:
             yield NABLA_R, (), [Sequent((ant[0].inner,), succ.inner)]
 
 
-def _canonical_key(t: ProofTree):
-    """Proof identity up to Perm-node placement."""
-    if t.rule == PERM:
-        return _canonical_key(t.premises[0])
-    norm = perm_normalize(t.conclusion)
+def _canonical_key(t: ProofTree, number: Callable[[ProofTree], int]) -> tuple:
+    """Proof identity up to Perm-node placement, given the premises' numbers.
+
+    The perm-normalized conclusion stands for its text: ``format_sequent``
+    is injective, so equal sequents are exactly those with equal texts.
+    """
     extra = tuple(v for k, v in t.data if k == "n")
-    return (
-        t.rule,
-        format_sequent(norm),
-        extra,
-        tuple(_canonical_key(p) for p in t.premises),
-    )
+    return (t.rule, perm_normalize(t.conclusion), extra, tuple(map(number, t.premises)))
+
+
+def _distinct(raw: tuple[ProofTree, ...]) -> list[ProofTree]:
+    """The first of each class of `raw` that is equal up to Perm-node placement.
+
+    Raw proofs share subtrees, so each node is keyed once: its number is
+    kept by ``id`` (`raw` keeps every node alive), and equal keys get equal
+    numbers.
+    """
+    numbers: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+
+    def number(t: ProofTree) -> int:
+        n = numbers.get(id(t))
+        if n is None:
+            if t.rule == PERM:
+                n = number(t.premises[0])
+            else:
+                n = keys.setdefault(_canonical_key(t, number), len(keys))
+            numbers[id(t)] = n
+        return n
+
+    first: dict[int, ProofTree] = {}
+    for t in raw:
+        first.setdefault(number(t), t)
+    return list(first.values())
 
 
 def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -345,13 +372,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """
     searcher = _Searcher(cfg)
     raw, exhaustive = searcher.search(seq, cfg.depth_limit)
-    seen = set()
-    unique: list[ProofTree] = []
-    for t in raw:
-        key = _canonical_key(t)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
+    unique = _distinct(raw)
     unique.sort(key=proof_to_text)
     trace = SEARCH_TRACE.get()
     if trace is not None:

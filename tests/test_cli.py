@@ -6,8 +6,9 @@ import json
 import pytest
 from conftest import DONKEY, data_path
 
-from lamsem import diagram_from_json, proof_from_json
+from lamsem import SearchConfig, diagram_from_json, proof_from_json
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
+from lamsem.diagram import REWRITE_TRACE
 from lamsem.planner import STEP_TRACE
 from lamsem.prover import SEARCH_TRACE
 
@@ -184,8 +185,10 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     records = [json.loads(line) for line in traced_err.splitlines()]
     steps = [r for r in records if "step" in r]
     searches = [r for r in records if "search" in r]
-    assert len(steps) + len(searches) == len(records)
+    rewrites = [r for r in records if "rewrites" in r]
+    assert len(steps) + len(searches) + len(rewrites) == len(records)
     assert searches and all(set(r) == SEARCH_KEYS for r in searches)
+    assert rewrites and all(set(r["rewrites"]) == REWRITE_NAMES for r in rewrites)
     assert steps and all(
         set(s) == {"step", "slots", "from_keys", "entries_in", "entries_out"}
         for s in steps
@@ -198,6 +201,7 @@ SEARCH_KEYS = {
     "search", "k", "nodes", "memo_hits", "memo_size", "pruned",
     "raw_proofs", "unique_proofs", "capped",
 }
+REWRITE_NAMES = {"proj1_absorb", "detbox", "relpro", "pronoun", "snake", "s_erasure", "id"}
 
 
 @pytest.mark.parametrize("command", ["prove", "diagram"])
@@ -209,12 +213,17 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
     traced_code, traced_out, traced_err = run(capsys, command, sentence, "--trace")
     assert (traced_code, traced_out) == (code, out)
     assert SEARCH_TRACE.get() is None  # reset when main returns
-    # the traced stderr is the search lines, then the plain run's stderr
+    # the traced stderr is the search lines, then (diagram) the rewrite
+    # lines, then the plain run's stderr
     lines = traced_err.splitlines()
     n = len(lines) - len(err.splitlines())
     assert "\n".join(lines[n:]) == err.rstrip("\n")
-    searches = [json.loads(line) for line in lines[:n]]
+    records = [json.loads(line) for line in lines[:n]]
+    searches = [r for r in records if "search" in r]
     assert searches and all(set(r) == SEARCH_KEYS for r in searches)
+    assert records[: len(searches)] == searches
+    assert all(set(r) == {"rewrites"} for r in records[len(searches):])
+    assert (len(records) > len(searches)) == (command == "diagram" and code == EXIT_OK)
     if command == "prove":  # one line per sequent tried, in the order prove lists them
         tried = [line.split("  [")[0] for line in out.splitlines() if line.startswith("sequent: ")]
         assert [f"sequent: {r['search']}" for r in searches] == tried
@@ -222,6 +231,31 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
     if sentence == "every farmer owns a donkey":
         assert code == EXIT_OK and searches[-1]["pruned"] > 0
         assert searches[-1]["unique_proofs"] > 0
+
+
+@pytest.mark.parametrize(
+    "sentence, fired",
+    [
+        ("dogs eat snacks", {}),
+        ("john sleeps. he snores.", {"pronoun": 1, "snake": 1}),
+        (
+            DONKEY,
+            {"proj1_absorb": 1, "detbox": 2, "relpro": 1, "pronoun": 1, "snake": 4, "s_erasure": 1},
+        ),
+    ],
+)
+def test_diagram_trace_prints_rewrite_counts(capsys, sentence, fired):
+    code, out, err = run(capsys, "diagram", sentence)
+    traced_code, traced_out, traced_err = run(capsys, "diagram", sentence, "--trace")
+    assert (traced_code, traced_out, err) == (code, out, "")
+    assert REWRITE_TRACE.get() is None  # reset when main returns
+    records = [json.loads(line) for line in traced_err.splitlines()]
+    rewrites = [r["rewrites"] for r in records if "rewrites" in r]
+    # one line per wiring substitution: one per proof returned
+    cap = SearchConfig().max_proofs
+    assert len(rewrites) == sum(min(r["unique_proofs"], cap) for r in records if "search" in r)
+    want = dict.fromkeys(REWRITE_NAMES, 0) | fired
+    assert all(r == want for r in rewrites)
 
 
 def test_eval_ungrammatical_is_an_error(capsys):

@@ -2,10 +2,11 @@
 import itertools
 import runpy
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamsem import SearchConfig, check_proof, prove, prover
 from lamsem.formula import (
@@ -273,3 +274,50 @@ def test_count_check_holds_on_every_proved_sequent(seq, k):
         node = stack.pop()
         assert not count_excludes_zero(node.conclusion, k), proof_to_text(node)
         stack.extend(node.premises)
+
+
+# discourses of up to three clauses: a third or so of them are provable
+_discourses = st.lists(
+    st.sampled_from(["np", "!np", "@np", NAME, PRONOUN]), min_size=1, max_size=3
+).map(
+    lambda subjects: parse_sequent(
+        ", ".join(f"{f}, {VERB}" for f in subjects) + " -> " + ".".join("s" * len(subjects))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_sequents, _discourses), st.integers(1, 3))
+@example(parse_sequent("np/n, n, np\\s/np, !@(!@np/n), n -> s"), 2)
+def test_proof_json_round_trips_on_drawn_sequents(seq, k):
+    for p in prove(seq, SearchConfig(k=k, depth_limit=8, enumerate_all=True)):
+        text = proof_to_json(p)
+        again = proof_from_json(text)
+        assert again == p
+        assert proof_to_json(again) == text
+
+
+def test_each_sequent_is_count_checked_once():
+    seq = parse_sequent("!@np, np\\s, @np\\np, np\\s, !@np, np\\s -> s.s.s")
+    cfg = SearchConfig(k=2)
+    checked: Counter = Counter()
+    excluded = set()
+
+    def counting(s, k):
+        checked[s] += 1
+        if count_excludes_zero(s, k):
+            excluded.add(s)
+            return True
+        return False
+
+    traced = []
+    token = prover.SEARCH_TRACE.set(traced.append)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prover, "count_excludes_zero", counting)
+            result = prove(seq, cfg)
+    finally:
+        prover.SEARCH_TRACE.reset(token)
+    assert checked and max(checked.values()) == 1
+    assert traced[0]["pruned"] == len(excluded) > 0
+    assert [proof_to_text(p) for p in result] == [proof_to_text(p) for p in prove(seq, cfg)]
