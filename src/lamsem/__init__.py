@@ -51,12 +51,6 @@ from .relsem import (
     interp_object,
     interp_word_rel,
 )
-from .vecsem import (
-    SparseTensor,
-    check_equivalence,
-    eval_diagram_vec,
-    generator_vec,
-    interp_word_vec,
-)
+from .vecsem import check_equivalence, eval_diagram_vec
 
 __version__ = "0.1.0"

@@ -6,6 +6,13 @@ port is fed by exactly one edge or by the diagram's input boundary; every
 node output port feeds exactly one edge, one output boundary slot, or is
 explicitly discarded (allowed only for the one-point sentence wire, where
 discarding is semantically a no-op).
+
+A proof compiles straight into one port graph: each rule wires up the wire
+bundles of its premises, and a Perm only reorders bundles, so a compiled
+diagram has no Swap.  :func:`substitute_wirings` is the one place where
+tagged words are rewritten (determiner boxes, pronouns, relative pronouns)
+and where wire crossings are drawn as Swaps.  The one wire-alias pass is
+the union-find of :func:`lamsem.planner.extract_network`.
 """
 from __future__ import annotations
 
@@ -42,7 +49,6 @@ from .prover import (
     OVER_L,
     OVER_R,
     PERM,
-    RULES,
     ProofTree,
     TENSOR_L,
     TENSOR_R,
@@ -517,7 +523,7 @@ def typecheck(d: Diagram) -> bool:
 
 
 class _Mut:
-    """Mutable port-graph used during compilation and rewriting."""
+    """Mutable port-graph used during rewriting."""
 
     def __init__(self) -> None:
         self.gens: dict[int, Generator] = {}
@@ -603,112 +609,19 @@ class _Mut:
         )
 
 
-# ---------------------------------------------------------------- wire builder
+# ---------------------------------------------------------------- compilation
 
 
 class _Wire:
-    """Union-find wire: eventually one producer (src) and one consumer (dst)."""
+    """A wire of the graph being compiled: one producer and one consumer."""
 
-    __slots__ = ("wtype", "parent", "src", "dst")
+    __slots__ = ("wtype", "src", "dst")
 
     def __init__(self, wtype: WireType):
         self.wtype = wtype
-        self.parent: Optional["_Wire"] = None
         self.src: Optional[Port] = None
         self.dst: Optional[Port] = None
 
-    def find(self) -> "_Wire":
-        w = self
-        while w.parent is not None:
-            w = w.parent
-        if w is not self:
-            self.parent = w
-        return w
-
-
-def _union(upper: _Wire, lower: _Wire) -> None:
-    u, v = upper.find(), lower.find()
-    if u is v:
-        return
-    if u.wtype != v.wtype:
-        raise DiagramError(
-            f"cannot join {wtype_to_str(u.wtype)} with {wtype_to_str(v.wtype)}"
-        )
-    if u.src is not None and v.src is not None:
-        raise DiagramError("wire would have two producers")
-    if u.dst is not None and v.dst is not None:
-        raise DiagramError("wire would have two consumers")
-    v.parent = u
-    u.src = u.src or v.src
-    u.dst = u.dst or v.dst
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.mut = _Mut()
-        self.wires: list[_Wire] = []
-
-    def wire(self, wtype: WireType) -> _Wire:
-        w = _Wire(wtype)
-        self.wires.append(w)
-        return w
-
-    def add(self, gen: Generator) -> int:
-        return self.mut.add(gen)
-
-    def set_src(self, w: _Wire, nid: int, port: int) -> None:
-        w = w.find()
-        if w.src is not None:
-            raise DiagramError("wire already has a producer")
-        w.src = (nid, port)
-
-    def set_dst(self, w: _Wire, nid: int, port: int) -> None:
-        w = w.find()
-        if w.dst is not None:
-            raise DiagramError("wire already has a consumer")
-        w.dst = (nid, port)
-
-    def finalize(self, inputs: list[_Wire], outputs: list[_Wire]) -> Diagram:
-        input_reps = [w.find() for w in inputs]
-        output_reps = [w.find() for w in outputs]
-        boundary_in: list[Port] = []
-        boundary_out: list[Port] = []
-        for w in input_reps:
-            if w.src is not None:
-                raise DiagramError("input boundary wire has an internal producer")
-            if w.dst is None:  # straight-through wire: realize with Id
-                nid = self.mut.add(Id(w.wtype))
-                w.dst = (nid, 0)
-                w.src = (nid, 0)
-        for w in output_reps:
-            if w.dst is not None:
-                raise DiagramError("output boundary wire has an internal consumer")
-        in_ids = {id(w) for w in input_reps}
-        out_ids = {id(w) for w in output_reps}
-        seen: set[int] = set()
-        for w in self.wires:
-            w = w.find()
-            if id(w) in seen:
-                continue
-            seen.add(id(w))
-            if w.src is not None and w.dst is not None:
-                self.mut.connect(w.src, w.dst)
-            elif w.src is None and id(w) not in in_ids:
-                raise DiagramError("dangling wire with no producer")
-            elif w.dst is None and id(w) not in out_ids:
-                raise DiagramError("dangling wire with no consumer")
-        for w in input_reps:
-            boundary_in.append(w.dst)  # type: ignore[arg-type]
-        for w in output_reps:
-            if w.src is None:
-                raise DiagramError("output boundary wire has no producer")
-            boundary_out.append(w.src)
-        self.mut.inputs = boundary_in
-        self.mut.outputs = boundary_out
-        return self.mut.freeze()
-
-
-# ---------------------------------------------------------------- compilation
 
 _Slots = list[list[_Wire]]
 
@@ -719,17 +632,70 @@ def _perm_mapping(src: int, dst: int, n: int) -> list[int]:
     return rest[:dst] + [src] + rest[dst:]
 
 
+def _expect(ws: list[_Wire], f: Formula, rule: str) -> None:
+    """A premise's bundle of wires must have the wire types of formula `f`."""
+    if tuple(w.wtype for w in ws) != formula_wires(f):
+        raise DiagramError(f"{rule} puts other wires where {format_formula(f)} stands")
+
+
 class _Compiler:
-    def __init__(self, b: _Builder):
-        self.b = b
+    """Compiles a proof straight into one port graph.
+
+    Each rule returns the wire bundles of its conclusion's antecedent
+    formulas (slots) and the wires of its succedent.  A Perm only reorders
+    slots: the crossings are drawn by :func:`substitute_wirings`.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: list[Generator] = []
+        self.wires: list[_Wire] = []
+
+    def add(self, gen: Generator) -> int:
+        self.nodes.append(gen)
+        return len(self.nodes) - 1
+
+    def wire(self, wtype: WireType) -> _Wire:
+        w = _Wire(wtype)
+        self.wires.append(w)
+        return w
 
     def fresh(self, f: Formula) -> list[_Wire]:
-        return [self.b.wire(w) for w in formula_wires(f)]
+        return [self.wire(w) for w in formula_wires(f)]
+
+    @staticmethod
+    def set_src(w: _Wire, nid: int, port: int) -> None:
+        if w.src is not None:
+            raise DiagramError("wire already has a producer")
+        w.src = (nid, port)
+
+    @staticmethod
+    def set_dst(w: _Wire, nid: int, port: int) -> None:
+        if w.dst is not None:
+            raise DiagramError("wire already has a consumer")
+        w.dst = (nid, port)
+
+    def finalize(self, inputs: list[_Wire], outputs: list[_Wire]) -> Diagram:
+        outputs = list(outputs)
+        for w in inputs:
+            if w.dst is None and w in outputs:  # straight through: realize with Id
+                nid = self.add(Id(w.wtype))
+                w.dst = (nid, 0)
+                outputs[outputs.index(w)] = out = self.wire(w.wtype)
+                out.src = (nid, 0)
+        for w in self.wires:  # each end is a port or the boundary, never both
+            if (w.src is None) != (w in inputs) or (w.dst is None) != (w in outputs):
+                raise DiagramError("wire needs one producer and one consumer")
+        edges = [Edge(*w.src, *w.dst) for w in self.wires if w.src and w.dst]
+        return Diagram(
+            nodes=tuple(self.nodes),
+            edges=tuple(sorted(edges, key=lambda e: (e.src, e.src_port))),
+            inputs=tuple(w.dst for w in inputs),
+            outputs=tuple(w.src for w in outputs),
+        )
 
     def compile(self, t: ProofTree) -> tuple[_Slots, list[_Wire]]:
         ant = t.conclusion.antecedent
         rule = t.rule
-        b = self.b
         if rule == AXIOM:
             ws = self.fresh(ant[0])
             return [ws], list(ws)
@@ -741,34 +707,28 @@ class _Compiler:
             assert isinstance(f, Under)
             s1, a_out = self.compile(t.premises[0])
             s2, c_out = self.compile(t.premises[1])
-            impl = self.fresh(f)
-            m = len(a_out)
-            for i in range(m):
-                cup = b.add(Cup(a_out[i].find().wtype))
-                b.set_dst(a_out[i], cup, 0)
-                b.set_dst(impl[m - 1 - i], cup, 1)
-            bslot = s2[pos - sl]
-            for j, w in enumerate(impl[m:]):
-                _union(w, bslot[j])
+            _expect(s2[pos - sl], f.right, rule)
+            arg = self.fresh(f.left)
+            for a, w in zip(a_out, arg):
+                cup = self.add(Cup(a.wtype))
+                self.set_dst(a, cup, 0)
+                self.set_dst(w, cup, 1)
+            impl = arg[::-1] + s2[pos - sl]
             slots = s2[: pos - sl] + s1 + [impl] + s2[pos - sl + 1 :]
             return slots, c_out
         if rule == OVER_L:
-            pos, sl = t.get("pos"), t.get("sigma_len")
+            pos = t.get("pos")
             f = ant[pos]
             assert isinstance(f, Over)
             s1, a_out = self.compile(t.premises[0])
             s2, c_out = self.compile(t.premises[1])
-            impl = self.fresh(f)
-            m = len(a_out)
-            nb = len(impl) - m
-            for j in range(m):
-                # impl[nb + j] carries argument wire m-1-j
-                cup = b.add(Cup(a_out[m - 1 - j].find().wtype))
-                b.set_dst(impl[nb + j], cup, 0)
-                b.set_dst(a_out[m - 1 - j], cup, 1)
-            bslot = s2[pos]
-            for j, w in enumerate(impl[:nb]):
-                _union(w, bslot[j])
+            _expect(s2[pos], f.left, rule)
+            arg = self.fresh(f.right)
+            for a, w in reversed(list(zip(a_out, arg))):
+                cup = self.add(Cup(a.wtype))
+                self.set_dst(w, cup, 0)
+                self.set_dst(a, cup, 1)
+            impl = s2[pos] + arg[::-1]
             slots = s2[:pos] + [impl] + s1 + s2[pos + 1 :]
             return slots, c_out
         if rule == TENSOR_L:
@@ -780,135 +740,70 @@ class _Compiler:
             s1, a_out = self.compile(t.premises[0])
             s2, b_out = self.compile(t.premises[1])
             return s1 + s2, a_out + b_out
-        if rule == UNDER_R:
-            f = t.conclusion.succedent
-            assert isinstance(f, Under)
+        if rule in (UNDER_R, OVER_R):  # each argument wire bends up on a Cap
             s, b_out = self.compile(t.premises[0])
-            aslot = s[0]
-            m = len(aslot)
+            under = rule == UNDER_R
             caps = []
-            for i in range(m):
-                cap = b.add(Cap(aslot[i].find().wtype))
-                b.set_src(aslot[i], cap, 1)
-                w = self.b.wire(aslot[i].find().wtype)
-                b.set_src(w, cap, 0)
-                caps.append(w)
-            succ = [caps[m - 1 - j] for j in range(m)] + b_out
-            return s[1:], succ
-        if rule == OVER_R:
-            f = t.conclusion.succedent
-            assert isinstance(f, Over)
-            s, b_out = self.compile(t.premises[0])
-            aslot = s[-1]
-            m = len(aslot)
-            caps = []
-            for i in range(m):
-                cap = b.add(Cap(aslot[i].find().wtype))
-                b.set_src(aslot[i], cap, 0)
-                w = self.b.wire(aslot[i].find().wtype)
-                b.set_src(w, cap, 1)
-                caps.append(w)
-            succ = b_out + [caps[m - 1 - j] for j in range(m)]
-            return s[:-1], succ
+            for w in s[0] if under else s[-1]:
+                cap = self.add(Cap(w.wtype))
+                self.set_src(w, cap, int(under))
+                caps.insert(0, self.wire(w.wtype))
+                self.set_src(caps[0], cap, int(not under))
+            return (s[1:], caps + b_out) if under else (s[:-1], b_out + caps)
         if rule == BANG_L:
             pos, copies = t.get("pos"), t.get("n")
             f = ant[pos]
             assert isinstance(f, Bang)
             s, c_out = self.compile(t.premises[0])
             inner_ws = formula_wires(f.inner)
-            proj = b.add(Proj(copies, bundle(inner_ws)))
-            fock_w = b.wire(FockWire(bundle(inner_ws)))
-            b.set_dst(fock_w, proj, 0)
+            proj = self.add(Proj(copies, bundle(inner_ws)))
+            fock_w = self.wire(FockWire(bundle(inner_ws)))
+            self.set_dst(fock_w, proj, 0)
             width = len(inner_ws)
             for c in range(copies):
                 for i in range(width):
-                    b.set_src(s[pos + c][i], proj, c * width + i)
+                    self.set_src(s[pos + c][i], proj, c * width + i)
             slots = s[:pos] + [[fock_w]] + s[pos + copies :]
             return slots, c_out
-        if rule == NABLA_L:
-            return self.compile(t.premises[0])
-        if rule == NABLA_R:
+        if rule in (NABLA_L, NABLA_R):
             return self.compile(t.premises[0])
         if rule == BANG_R:
-            inner = _compile_open(t.premises[0])
-            lift = b.add(FockLift(inner))
-            gen: FockLift = self.b.mut.gens[lift]  # type: ignore[assignment]
-            win = b.wire(gen.ins[0])
-            wout = b.wire(gen.outs[0])
-            b.set_dst(win, lift, 0)
-            b.set_src(wout, lift, 0)
+            lift = FockLift(_compile_open(t.premises[0]))
+            nid = self.add(lift)
+            win = self.wire(lift.ins[0])
+            wout = self.wire(lift.outs[0])
+            self.set_dst(win, nid, 0)
+            self.set_src(wout, nid, 0)
             return [[win]], [wout]
-        raise DiagramError(f"cannot compile rule {rule!r}")
+        raise DiagramError(f"cannot compile rule {rule!r} (cut-free proofs only)")
 
     def _compile_perm(self, t: ProofTree) -> tuple[_Slots, list[_Wire]]:
-        """Collapse a maximal chain of Perm nodes into minimal block swaps."""
+        """A maximal chain of Perm nodes reorders the premise's bundles."""
         ant = t.conclusion.antecedent
         n = len(ant)
         mapping = list(range(n))  # conclusion position -> current position
         node = t
         while node.rule == PERM:
-            step = _perm_mapping(node.get("src"), node.get("dst"), n)
+            src, dst = node.get("src"), node.get("dst")
+            if not (0 <= src < n and 0 <= dst < n):
+                raise DiagramError(f"Perm move {src} -> {dst} outside {n} formulas")
+            step = _perm_mapping(src, dst, n)
             mapping = [step[m] for m in mapping]
             node = node.premises[0]
-        slots_f, succ = self.compile(node)
-        # target: conclusion indices listed in premise (final) order
-        target = sorted(range(n), key=lambda q: mapping[q])
-        bundles = {q: self.fresh(ant[q]) for q in range(n)}
-        top = {q: list(ws) for q, ws in bundles.items()}  # conclusion-side wires
-        current = list(range(n))
-        while current != target:
-            p = next(i for i in range(n) if current[i] != target[i])
-            qpos = current.index(target[p])
-            seg = current[p:qpos]
-            item = current[qpos]
-            a_types = tuple(w.find().wtype for q in seg for w in bundles[q])
-            b_types = tuple(w.find().wtype for w in bundles[item])
-            swap = self.b.add(Swap(a_types, b_types))
-            port = 0
-            for q in seg:
-                for w in bundles[q]:
-                    self.b.set_dst(w, swap, port)
-                    port += 1
-            for w in bundles[item]:
-                self.b.set_dst(w, swap, port)
-                port += 1
-            out_port = 0
-            new_item = []
-            for w in bundles[item]:
-                nw = self.b.wire(w.find().wtype)
-                self.b.set_src(nw, swap, out_port)
-                out_port += 1
-                new_item.append(nw)
-            bundles[item] = new_item
-            for q in seg:
-                new_seg = []
-                for w in bundles[q]:
-                    nw = self.b.wire(w.find().wtype)
-                    self.b.set_src(nw, swap, out_port)
-                    out_port += 1
-                    new_seg.append(nw)
-                bundles[q] = new_seg
-            current = current[:p] + [item] + seg + current[qpos + 1 :]
-        for q in range(n):
-            slot = slots_f[mapping[q]]
-            for w, v in zip(bundles[q], slot):
-                _union(w, v)
-        return [top[q] for q in range(n)], succ
+        slots, succ = self.compile(node)
+        if len(slots) != n:
+            raise DiagramError(f"Perm premise has {len(slots)} formulas, not {n}")
+        bundles = [slots[mapping[q]] for q in range(n)]
+        for ws, f in zip(bundles, ant):
+            _expect(ws, f, PERM)
+        return bundles, succ
 
 
 def _compile_open(t: ProofTree) -> Diagram:
     """Compile a proof to an open morphism diagram (antecedent wires as inputs)."""
-    b = _Builder()
-    slots, succ = _Compiler(b).compile(t)
-    inputs = [w for slot in slots for w in slot]
-    return b.finalize(inputs, succ)
-
-
-def _check_no_cut(t: ProofTree) -> None:
-    if t.rule not in RULES:
-        raise DiagramError(f"cannot compile rule {t.rule!r} (cut-free proofs only)")
-    for p in t.premises:
-        _check_no_cut(p)
+    c = _Compiler()
+    slots, succ = c.compile(t)
+    return c.finalize([w for slot in slots for w in slot], succ)
 
 
 def proof_to_diagram(
@@ -916,12 +811,13 @@ def proof_to_diagram(
 ) -> Diagram:
     """Compile a cut-free proof into a string diagram.
 
-    With `words`, one State (or DetBox, for tagged determiners) per word is
-    attached to the antecedent wires, giving a closed sentence diagram; the
-    word count and lexicon formulas must match the proof's end-sequent.
-    Without `words`, the antecedent wires form the input boundary.
+    With `words`, one State per word is attached to the antecedent wires,
+    giving a closed sentence diagram; the word count and lexicon formulas
+    must match the proof's end-sequent.  Without `words`, the antecedent
+    wires form the input boundary.  The diagram has no Swap: a Perm only
+    reorders wires, and :func:`substitute_wirings` draws the crossings and
+    turns tagged determiners into DetBoxes.
     """
-    _check_no_cut(t)
     if words is None:
         return _compile_open(t)
     ant = t.conclusion.antecedent
@@ -934,17 +830,13 @@ def proof_to_diagram(
             raise DiagramError(
                 f"word {word!r} has no lexicon entry {format_formula(f)}"
             )
-    b = _Builder()
-    slots, succ = _Compiler(b).compile(t)
+    c = _Compiler()
+    slots, succ = c.compile(t)
     for word, f, slot in zip(words, ant, slots):
-        nid = b.add(State(word, f))
+        nid = c.add(State(word, f))
         for port, w in enumerate(slot):
-            b.set_src(w, nid, port)
-    d = b.finalize([], succ)
-    mut = _Mut.from_diagram(d)
-    while _rewrite_detbox(mut, lex):
-        pass
-    return mut.freeze()
+            c.set_src(w, nid, port)
+    return c.finalize([], succ)
 
 
 # ---------------------------------------------------------------- rewriting
@@ -1334,9 +1226,11 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
     """Replace tagged word States by their internal wirings and simplify.
 
     Relative pronouns become the Frobenius wiring (caps + Mult), pronouns
-    become Caps, Fock-lifted determiners lose their trivial pi_1 and turn
-    into DetBoxes.  The result is then normalized: snakes cancel, closed
-    sentence wires vanish, inverse swap pairs cancel.
+    become Caps, determiners turn into DetBoxes (a Fock-lifted one loses
+    its trivial pi_1 first).  Swaps in `d` are spliced out first.  The
+    result is then normalized: snakes cancel, closed sentence wires vanish,
+    and the wire crossings are drawn as Swaps, so substituting a
+    substituted diagram gives it back.
     """
     report = typecheck_report(d)
     if report is not None:

@@ -17,7 +17,7 @@ import itertools
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .formula import (
     Atom,
@@ -153,42 +153,40 @@ def _movable_arrangements(
     if not idx:
         yield ant, []
         return
-    tagged = list(enumerate(ant))
-    base = [t for t in tagged if t[0] not in idx]
-    movers = [tagged[i] for i in idx]
     n = len(ant)
+    movers = set(idx)
+    base = [i for i in range(n) if i not in movers]
     seen: set[tuple[Formula, ...]] = set()
-    for mperm in itertools.permutations(movers):
-        for slots in itertools.combinations(range(n), len(movers)):
-            arrangement: list[Optional[tuple[int, Formula]]] = [None] * n
-            for slot, mover in zip(slots, mperm):
-                arrangement[slot] = mover
-            it = iter(base)
-            for i in range(n):
-                if arrangement[i] is None:
-                    arrangement[i] = next(it)
-            formulas = tuple(t[1] for t in arrangement)  # type: ignore[index]
+    for mperm in itertools.permutations(idx):
+        for slots in itertools.combinations(range(n), len(idx)):
+            target = list(base)  # indices into `ant`, in arrangement order
+            for slot, i in zip(slots, mperm):
+                target.insert(slot, i)
+            formulas = tuple(ant[i] for i in target)
             if formulas in seen:
                 continue
             seen.add(formulas)
             # Recover a chain of single-formula moves taking `ant` to
-            # `formulas` where only movable formulas ever move: place each
-            # mover at its target slot in ascending target order.  Original
-            # indices keep equal formulas distinct.
-            cur = list(tagged)
-            target = list(arrangement)  # type: ignore[arg-type]
-            mover_ids = {t[0] for t in movers}
+            # `formulas` where only movable formulas ever move.  Left of
+            # `tpos` the chain already agrees with the target.  A mover due
+            # at `tpos` moves left onto it; a mover standing where a fixed
+            # formula is due moves right, past that formula.  Indices keep
+            # equal formulas distinct.
+            cur = list(range(n))
             moves: list[tuple[int, int, tuple[Formula, ...]]] = []
-            for tpos in range(n):
-                tid = target[tpos][0]
-                if tid not in mover_ids:
+            tpos = 0
+            while tpos < n:
+                want = target[tpos]
+                if cur[tpos] == want:
+                    tpos += 1
                     continue
-                cpos = next(p for p in range(n) if cur[p][0] == tid)
-                if cpos == tpos:
-                    continue
-                item = cur.pop(cpos)
-                cur.insert(tpos, item)
-                moves.append((tpos, cpos, tuple(t[1] for t in cur)))
+                cpos = cur.index(want, tpos)
+                if want in movers:
+                    frm, to = cpos, tpos
+                else:
+                    frm, to = tpos, max(cpos, target.index(cur[tpos]))
+                cur.insert(to, cur.pop(frm))
+                moves.append((to, frm, tuple(ant[i] for i in cur)))
             yield formulas, moves
 
 

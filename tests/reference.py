@@ -1,7 +1,7 @@
 """Brute-force reference evaluator: an oracle for both semantic backends.
 
 It reads a diagram straight from ``Diagram.nodes``, ``Diagram.edges`` and its
-boundary lists, with no planner, no union-find and no ``SparseTensor``.  Each
+boundary lists, with no planner and no union-find.  Each
 node is visited right after the nodes that feed it (a depth-first topological
 order, which keeps the number of partial assignments small).  Every partial
 assignment of values to ports is extended by each ``generator_entries`` tuple

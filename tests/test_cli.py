@@ -242,6 +242,7 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
             DONKEY,
             {"proj1_absorb": 1, "detbox": 2, "relpro": 1, "pronoun": 1, "snake": 4, "s_erasure": 1},
         ),
+        ("every dog eats snacks", {"detbox": 1}),
     ],
 )
 def test_diagram_trace_prints_rewrite_counts(capsys, sentence, fired):

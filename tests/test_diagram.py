@@ -1,6 +1,9 @@
 """Proof-to-diagram compilation, wiring substitution and serialization."""
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 from conftest import DONKEY, find_proofs, sentence_diagram
 
@@ -18,13 +21,15 @@ from lamsem import (
 from lamsem.diagram import (
     Cup,
     Edge,
+    FockLift,
     Id,
     NWire,
     State,
     SWire,
     formula_wires,
 )
-from lamsem.formula import Atom, parse_formula
+from lamsem.formula import Atom, parse_formula, parse_sequent
+from lamsem.prover import proof_from_json, proof_to_json, prove
 
 ATOMS = ("np", "n", "s")
 
@@ -71,12 +76,67 @@ def test_pronoun_discourse_raw_and_substituted(lexicon):
     raw = proof_to_diagram(proofs[0], lexicon, words=words)
     raw_counts = non_lexical(raw)
     assert raw_counts.get("Proj(2)") == 1
-    assert raw_counts.get("Swap", 0) >= 1
+    # a Perm only reorders wires; crossings are drawn by substitute_wirings
+    assert "Swap" not in raw_counts
     assert typecheck(raw)
     sub = substitute_wirings(raw, lexicon)
     assert non_lexical(sub) == {"Cup": 2, "Proj(2)": 1}
     assert sub.output_types() == (SWire(), SWire())
     assert typecheck(sub)
+
+
+def test_open_identity_proofs_compile_to_an_id():
+    d = proof_to_diagram(prove(parse_sequent("np -> np", ATOMS)).proofs[0], None)
+    assert d == Diagram(nodes=(Id(NWire()),), edges=(), inputs=((0, 0),), outputs=((0, 0),))
+    # under !R the identity is the lifted diagram
+    proofs = prove(parse_sequent("!np -> !np", ATOMS)).proofs
+    lifted = [proof_to_diagram(p, None) for p in proofs if p.rule == "!R"]
+    assert lifted and all(typecheck(d) for d in lifted)
+    assert lifted[0].nodes == (FockLift(Diagram((Id(NWire()),), (), ((0, 0),), ((0, 0),))),)
+
+
+def _perm_nodes(node: dict):
+    if node["rule"] == "Perm":
+        yield node
+    for p in node["premises"]:
+        yield from _perm_nodes(p)
+
+
+def test_tampered_perm_data_is_a_diagram_error_or_well_typed(lexicon):
+    """A Perm whose `dst` is shifted either puts bundles where formulas of
+    other wire types stand, which raises DiagramError, or trades equal wire
+    types, which compiles; nothing else is raised."""
+    words, proofs = find_proofs(lexicon, DONKEY)
+    outcomes = Counter()
+    for proof in proofs:
+        data = json.loads(proof_to_json(proof))
+        for node in _perm_nodes(data):
+            n, dst = len(node["sequent"]["antecedent"]), node["data"]["dst"]
+            for shift in (1, 2, -1):
+                node["data"]["dst"] = (dst + shift) % n
+                tampered = proof_from_json(json.dumps(data), lexicon.atoms)
+                try:
+                    d = proof_to_diagram(tampered, lexicon, words=words)
+                except DiagramError:
+                    outcomes["DiagramError"] += 1
+                else:
+                    assert typecheck(d)
+                    outcomes["well-typed"] += 1
+            node["data"]["dst"] = n  # one past the last position
+            with pytest.raises(DiagramError, match="outside"):
+                proof_to_diagram(proof_from_json(json.dumps(data), lexicon.atoms), lexicon, words=words)
+            node["data"]["dst"] = dst
+    assert outcomes == {"DiagramError": 112, "well-typed": 32}
+
+
+@pytest.mark.parametrize("sequent", ["np, np\\s -> s", "s/np, np -> s"])
+def test_result_premise_with_other_wires_is_a_diagram_error(sequent):
+    """The premise of `\\L` or `/L` whose result formula is not the B of
+    A\\B or B/A is rejected, not compiled to another morphism."""
+    data = json.loads(proof_to_json(prove(parse_sequent(sequent, ATOMS)).proofs[0]))
+    data["premises"][1]["sequent"] = {"antecedent": ["np"], "succedent": "np"}
+    with pytest.raises(DiagramError):
+        proof_to_diagram(proof_from_json(json.dumps(data)), None)
 
 
 # --------------------------------------------------------- donkey diagram
@@ -99,6 +159,24 @@ def test_donkey_perm_placement_invariance(lexicon):
         d = substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon)
         keys.add(swap_erased_key(d))
     assert len(keys) == 1
+
+
+@pytest.mark.parametrize(
+    "sentence, goal",
+    [
+        ("dogs eat snacks", "s"),
+        ("every dog eats snacks", "s"),
+        ("john sleeps he snores", "s.s"),
+        (DONKEY, "s"),
+        ("dogs who eat snacks", "np"),
+    ],
+)
+def test_substitute_wirings_is_idempotent(lexicon, sentence, goal):
+    """A substituted diagram, Swaps and all, substitutes to itself."""
+    d = sentence_diagram(lexicon, sentence, goal)
+    again = substitute_wirings(d, lexicon)
+    assert again == d
+    assert export(again, "json") == export(d, "json")
 
 
 # ---------------------------------------------------------- serialization

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lamsem import SearchConfig, check_proof, prove, prover
+from lamsem import (
+    SearchConfig,
+    check_proof,
+    check_proof_report,
+    proof_to_diagram,
+    prove,
+    prover,
+    typecheck,
+)
 from lamsem.formula import (
     Atom,
     Bang,
@@ -95,6 +103,42 @@ def test_all_search_outputs_pass_checker(lexicon):
         assert proofs, sentence
         for p in proofs:
             assert check_proof(p, k=3), proof_to_text(p)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "sentence, goal",
+    [
+        ("dogs eat snacks", "s"),
+        ("every dog eats snacks", "s"),
+        ("dogs who eat snacks", "np"),
+        ("john sleeps he snores", "s.s"),
+        (DONKEY, "s"),
+        ("a farmer owns a donkey", "s"),
+    ],
+)
+def test_every_enumerated_proof_checks_and_compiles(lexicon, sentence, goal, k):
+    words = sentence.split()
+    goal_f = parse_formula(goal, lexicon.atoms)
+    for seq in sentence_to_sequents(words, lexicon, goal_f):
+        for p in prove(seq, SearchConfig(k=k, enumerate_all=True)):
+            assert check_proof_report(p, k=k) is None, proof_to_text(p)
+            assert typecheck(proof_to_diagram(p, lexicon, words=words))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_move_chains_reach_their_arrangements(n):
+    """Replaying a rearrangement's moves from the antecedent, each taking a
+    movable formula, ends on the arrangement."""
+    for ant in itertools.product(("@np", "@n", "np", "n"), repeat=n):
+        ant = tuple(parse_formula(f) for f in ant)
+        for arrangement, moves in prover._movable_arrangements(ant):
+            cur = list(ant)
+            for src, dst, premise in moves:
+                assert isinstance(cur[dst], Nabla)
+                cur.insert(src, cur.pop(dst))
+                assert tuple(cur) == premise
+            assert tuple(cur) == arrangement
 
 
 def test_unprovable_word_order():

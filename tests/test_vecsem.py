@@ -9,18 +9,10 @@ import pytest
 from conftest import DONKEY, sentence_diagram
 from reference import reference_counts
 
-from lamsem import (
-    Model,
-    SparseTensor,
-    check_equivalence,
-    eval_diagram_rel,
-    eval_diagram_vec,
-    generator_vec,
-    interp_word_vec,
-)
-from lamsem.diagram import Counit, Mult, NWire, Proj
+from lamsem import Model, check_equivalence, eval_diagram_rel, eval_diagram_vec
+from lamsem.diagram import Counit, Mult, NWire, Proj, formula_wires
 from lamsem.formula import parse_formula
-from lamsem.relsem import SemanticsError, generator_entries, rel_true
+from lamsem.relsem import SemanticsError, generator_entries, rel_true, word_entries
 
 ATOMS = ("np", "n", "s")
 N = NWire()
@@ -31,41 +23,31 @@ def small_model(n: int = 2) -> Model:
 
 
 # ----------------------------------------------------------- tensor basics
-
-
-def test_sparse_tensor_rejects_zero_entries():
-    with pytest.raises(SemanticsError):
-        SparseTensor((N,), {(0,): 0})
-    with pytest.raises(SemanticsError):
-        SparseTensor((N,), {(0, 1): 1})
+# A word or generator denotes the indicator tensor of its relation: entry 1
+# at each related tuple, so its support is the relation's set of tuples.
 
 
 def test_word_vec_is_indicator(model_dogs):
     f = parse_formula("np\\s/np", ATOMS)
-    t = interp_word_vec("eats", f, model_dogs)
-    assert all(v == 1 for v in t.entries.values())
-    assert len(t.shape) == 3
+    entries = word_entries("eats", f, model_dogs, 2)
+    assert entries
+    assert all(len(t) == len(formula_wires(f)) == 3 for t in entries)
 
 
 def test_counit_vec_is_all_ones():
     m = small_model(2)
-    t = generator_vec(Counit(N), m)
-    assert len(t.entries) == 4
-    assert set(t.entries.values()) == {1}
-    assert {i for (i,) in t.entries} == {0, 1, 2, 3}
+    assert generator_entries(Counit(N), m, 2) == {(i,) for i in range(4)}
 
 
 def test_proj_vec_arity_two():
     m = small_model(1)
-    t = generator_vec(Proj(2, N), m, k=2)
-    assert len(t.entries) == 4
-    assert all(v == 1 for v in t.entries.values())
+    assert len(generator_entries(Proj(2, N), m, 2)) == 4
 
 
 def test_mult_vec_matches_relation():
     m = small_model(2)
-    t = generator_vec(Mult(), m)
-    assert set(t.entries) == generator_entries(Mult(), m, 2)
+    entries = generator_entries(Mult(), m, 2)
+    assert entries == {(a, b, a & b) for a in range(4) for b in range(4)}
 
 
 # ------------------------------------------------------------ functoriality
