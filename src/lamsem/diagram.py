@@ -755,6 +755,10 @@ class _Compiler:
             f = ant[pos]
             assert isinstance(f, Bang)
             s, c_out = self.compile(t.premises[0])
+            if pos + copies > len(s):
+                raise DiagramError(f"{rule} takes {copies} copies past the antecedent")
+            for c in range(copies):
+                _expect(s[pos + c], f.inner, rule)
             inner_ws = formula_wires(f.inner)
             proj = self.add(Proj(copies, bundle(inner_ws)))
             fock_w = self.wire(FockWire(bundle(inner_ws)))

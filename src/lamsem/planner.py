@@ -9,15 +9,16 @@ its support, the vector scalar its sum).
 
 A :class:`Plan` holds the network, each leaf's marginalize and trace
 positions, the pair order and the boundary reorder, as index getters.  Leaves
-are lazy: each is built at the first step that takes it.  A leaf whose
-generator maps inputs to outputs, taken at a step whose other operand carries
-all its input wires, is built only from the distinct input tuples of that
-operand (a semi-join: the join drops every other input, so counts stay
-exact).  The greedy pair order ranks steps by upper bounds on the entries
-they build and output, given per generator by the caller.  A plan reads the
-model only through carrier sizes and those bounds, so relsem caches one per
-(diagram, |U|, k) and runs it on every model.  While :data:`STEP_TRACE` holds
-a callable, each contraction step reports its slots and entry counts to it.
+are lazy: each is built at the first step that takes it and, where it can, from
+the other operand's distinct values at some of its generator's inputs (times
+the carriers of the rest) or, when its outputs determine its inputs, at all
+its outputs: a semi-join, so counts stay exact.  The greedy pair order ranks
+steps by upper bounds on the entries they build and output, given per
+generator by the caller; their maximum is checked against the cell budget
+before anything is built.  A plan reads the model only through carrier sizes
+and those bounds, so relsem caches one per (diagram, |U|, k) and runs it on
+every model.  While :data:`STEP_TRACE` holds a callable, each contraction
+step reports its slots, how each side is built and its entry counts to it.
 """
 from __future__ import annotations
 
@@ -151,10 +152,10 @@ STEP_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
 
 def _getter(pos: Sequence[int]) -> Getter:
     """``itemgetter`` over `pos` that returns a tuple for any length."""
-    if len(pos) == 1:
-        i = pos[0]
-        return lambda tup: (tup[i],)
-    return itemgetter(*pos) if pos else lambda tup: ()
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    # a slice of a tuple is a tuple: of one item, or of none
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 @dataclass(frozen=True)
@@ -164,16 +165,19 @@ class Plan:
     Leaf ``i`` fills slot ``i`` when a step first takes it, step ``s`` slot
     ``len(leaves) + s``.  A leaf is ``None`` (kept as is) or (equality checks,
     key getter).  A step is ``(slot1, slot2, shared1, shared2, keep1, keep2,
-    inputs1)``: each side's getters of its shared-wire key and of the
-    positions it keeps, and ``inputs1``, which is None or the getter of leaf
-    ``slot2``'s input tuple from a tuple of ``slot1``: that leaf is then built
-    only from the distinct input tuples of ``slot1``.
+    carried1, builds)``: each side's getters of its shared-wire key and of the
+    positions it keeps; ``carried1``, None or (ports, getter), when leaf
+    ``slot2`` is built only from the distinct tuples the getter takes from
+    ``slot1``'s, the values at those ports of its generator; and how each
+    side is built (see :func:`plan_network`).  ``bound`` bounds the entries
+    of every tensor the plan builds or outputs.
     """
 
     net: Network
     leaves: tuple[tuple[tuple[tuple[int, int], ...], Getter] | None, ...]
-    steps: tuple[tuple[int, int, Getter, Getter, Getter, Getter, Getter | None], ...]
+    steps: tuple[tuple, ...]
     reorder: Getter
+    bound: int
 
 
 def _leaf(tn: TensorNode):
@@ -208,120 +212,147 @@ def _sum_by(
 def plan_network(
     net: Network,
     size_of: Callable[[WireType], int],
-    bound_of: Callable[[Generator], tuple[int, int | None]],
+    bound_of: Callable[[Generator], tuple[int, int | None, int | None]],
 ) -> Plan:
     """Fix the pair order and the index getters of a network's contraction.
 
     ``bound_of(gen)`` bounds the entries of a generator's relation and, for
     one that maps inputs to outputs, the outputs of one input tuple (its
-    fanout; None for any other generator).  Such a leaf built from the
-    input tuples of another operand has at most (their entries × fanout)
-    entries.  Each step merges the pair with the smallest bound on the
-    entries it builds plus those it outputs, ties broken by position; a
-    result is bounded by the product of its operands' bounds and by its
-    dense size.
+    fanout) and, if its outputs determine its inputs, the inputs of one
+    output tuple (its fanin); None where they do not apply.  Such a leaf,
+    merged into an operand that carries some of its wires, can be built from
+    that operand's distinct tuples over them: over carried inputs, times the
+    carriers of the inputs not carried (``"inputs"`` when all are carried,
+    else ``"some inputs"``), or over all its outputs (``"outputs"``).  That
+    keyed build is a subset of the whole relation, so it is taken whenever
+    its bound is no larger than the whole leaf's.  Any other operand is
+    built ``"whole"`` or is a step's ``"result"``.  Each step merges the
+    pair with the smallest bound on the entries it builds plus those it
+    outputs, ties broken by position; a result is bounded by the product of
+    its operands' bounds and by its dense size.
     """
     free = set(net.free)
     n_leaves = len(net.tensors)
     leaves = []
     live: list[tuple[int, list[int], int]] = []  # (slot, axes, entry bound)
-    lazy: dict[int, tuple[list[int], int]] = {}  # leaf slot: (input wires, fanout)
+    bounds = [bound_of(tn.gen) for tn in net.tensors]
 
     def dense(axes) -> int:
         return prod(size_of(net.wire_types[a]) for a in axes)
 
-    for tn in net.tensors:
+    for tn, (entries, _, _) in zip(net.tensors, bounds):
         leaf, axes = _leaf(tn)
-        entries, fanout = bound_of(tn.gen)
-        if fanout is not None:
-            lazy[len(live)] = (tn.axes[: len(tn.gen.ins)], fanout)
         leaves.append(leaf)
         live.append((len(live), axes, min(entries, dense(axes))))
 
     def merge(one, other):
-        """Bounds on the entries built and output by merging `other` into
-        `one`, and whether `other` is then built from `one`'s input tuples."""
+        """Bounds on the entries each side builds and the step outputs when
+        `other` merges into `one`, how each side is built, and the ports of
+        `other`'s generator that it is built from (None: built whole)."""
         (s1, axes1, b1), (s2, _, b2) = one, other
-        built = b1 if s1 < n_leaves else 0
-        if s2 in lazy and set(lazy[s2][0]) <= set(axes1):
-            out = b1 * lazy[s2][1]
-            return built + out, out, True
-        return built + (b2 if s2 < n_leaves else 0), b1 * b2, False
+        built1, how1 = (bounds[s1][0], "whole") if s1 < n_leaves else (0, "result")
+        if s2 >= n_leaves:
+            return built1, 0, b1 * b2, (how1, "result"), None
+        entries, fanout, fanin = bounds[s2]
+        options = [(entries, b1 * b2, "whole", None)]
+        tn = net.tensors[s2]
+        n_in = len(tn.gen.ins)
+        ins, outs = tn.axes[:n_in], tn.axes[n_in:]
+        ports = [p for p, a in enumerate(ins) if a in axes1]
+        if fanout is not None and ports:
+            per = dense(a for a in ins if a not in axes1) * fanout
+            how = "inputs" if len(ports) == n_in else "some inputs"
+            carried = min(b1, dense({ins[p] for p in ports}))
+            options.append((carried * per, b1 * per, how, ports))
+        if fanin is not None and set(outs) <= set(axes1) and not tn.summed:
+            ports = list(range(n_in, len(tn.axes)))
+            carried = min(b1, dense(set(outs)))
+            options.append((carried * fanin, b1 * fanin, "outputs", ports))
+        built2, out, how2, ports = min(options, key=lambda o: (o[0], o[3] is None))
+        return built1, built2, out, (how1, how2), ports
 
     steps = []
+    peak = bounds[0][0] if n_leaves == 1 else 0
     slot = n_leaves
     while len(live) > 1:
         deg = Counter(a for _, axes, _ in live for a in axes)
+        pairs = [
+            (i, j, set(live[i][1]) & set(live[j][1]))
+            for i in range(len(live))
+            for j in range(i + 1, len(live))
+        ]
         best = None
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                shared = set(live[i][1]) & set(live[j][1])
-                if not shared:
-                    continue
-                kill = {a for a in shared if deg[a] == 2 and a not in free}
-                size = dense({a for a in live[i][1] + live[j][1] if a not in kill})
-                for first, second in ((i, j), (j, i)):
-                    built, out, from_keys = merge(live[first], live[second])
-                    out = min(out, size)
-                    key = (built + out, i, j, not from_keys)
-                    if best is None or key < best[0]:
-                        best = (key, first, second, kill, out, from_keys)
         # no pair shares a wire (disconnected components): outer product
-        _, i, j, kill, bound, from_keys = best or (
-            None, 0, 1, set(), live[0][2] * live[1][2], False
-        )
+        for i, j, shared in [p for p in pairs if p[2]] or pairs[:1]:
+            kill = {a for a in shared if deg[a] == 2 and a not in free}
+            size = dense({a for a in live[i][1] + live[j][1] if a not in kill})
+            for first, second in ((i, j), (j, i)):
+                built1, built2, out, builds, ports = merge(live[first], live[second])
+                out = min(out, size)
+                key = (built1 + built2 + out, i, j, ports is None)
+                if best is None or key < best[0]:
+                    top = max(built1, built2, out)
+                    best = (key, first, second, kill, top, out, builds, ports)
+        _, i, j, kill, top, bound, builds, ports = best
+        peak = max(peak, top)
         (s1, axes1, _), (s2, axes2, _) = live[i], live[j]
         shared = [a for a in axes1 if a in axes2]
         keep1 = [p for p, a in enumerate(axes1) if a not in kill]
         keep2 = [p for p, a in enumerate(axes2) if a not in shared and a not in kill]
         pos1 = [axes1.index(a) for a in shared]
         pos2 = [axes2.index(a) for a in shared]
-        inputs1 = _getter([axes1.index(a) for a in lazy[s2][0]]) if from_keys else None
-        steps.append((s1, s2, *map(_getter, (pos1, pos2, keep1, keep2)), inputs1))
+        carried1 = None
+        if ports is not None:
+            at = [axes1.index(net.tensors[s2].axes[p]) for p in ports]
+            carried1 = (tuple(ports), _getter(at))
+        getters = map(_getter, (pos1, pos2, keep1, keep2))
+        steps.append((s1, s2, *getters, carried1, builds))
         axes = [axes1[p] for p in keep1] + [axes2[p] for p in keep2]
         live = [t for p, t in enumerate(live) if p not in (i, j)]
         live.append((slot, axes, min(bound, dense(axes))))
         slot += 1
     last = live[0][1] if live else []
     reorder = _getter([last.index(a) for a in net.free if a in last])
-    return Plan(net, tuple(leaves), tuple(steps), reorder)
+    return Plan(net, tuple(leaves), tuple(steps), reorder, peak)
 
 
 def contract_network(
     plan: Plan,
-    relation_of: Callable[[TensorNode, set[tuple] | None], Iterable[tuple]],
+    relation_of: Callable[[TensorNode, tuple | None], Iterable[tuple]],
     size_of: Callable[[WireType], int],
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> dict[tuple, int]:
     """Contract a planned network down to a tensor over the free wires.
 
-    Each tensor node is the 0/1 indicator of ``relation_of(node, inputs)``,
+    Each tensor node is the 0/1 indicator of ``relation_of(node, carried)``,
     its generator's relation as flat tuples (ins then outs): the whole
-    relation when `inputs` is None, else only the tuples whose inputs are
-    in that set.  The result maps each boundary tuple (in boundary order) to
-    its witness count, a positive integer; tuples with no witness are absent.
+    relation when `carried` is None, else, for (ports, values), only the
+    tuples whose values at those ports are in `values`.  The result maps each
+    boundary tuple (in boundary order) to its witness count, a positive
+    integer; tuples with no witness are absent.  A plan whose bound exceeds
+    `cell_budget` raises :class:`DiagramError` before anything is built.
     """
     net = plan.net
-    for w in net.wire_types.values():
-        if size_of(w) > cell_budget:
-            raise DiagramError(
-                f"carrier for wire type {w} exceeds the {cell_budget} budget"
-            )
+    if plan.bound > cell_budget:
+        raise DiagramError(
+            f"contraction bound {plan.bound} exceeds the {cell_budget} budget"
+        )
 
-    def build(slot: int, inputs: set[tuple] | None = None) -> dict[tuple, int]:
+    def build(slot: int, carried=None) -> dict[tuple, int]:
         leaf = plan.leaves[slot]
-        entries = dict.fromkeys(relation_of(net.tensors[slot], inputs), 1)
+        entries = dict.fromkeys(relation_of(net.tensors[slot], carried), 1)
         return entries if leaf is None else _sum_by(entries, leaf[1], leaf[0])
 
     trace = STEP_TRACE.get()
     slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
-    for n, (s1, s2, shared1, shared2, keep1, keep2, inputs1) in enumerate(plan.steps):
+    for n, step in enumerate(plan.steps):
+        s1, s2, shared1, shared2, keep1, keep2, carried1, builds = step
         t1 = slots[s1]
         if t1 is None:
             t1 = build(s1)
         t2 = slots[s2]
         if t2 is None:
-            t2 = build(s2, None if inputs1 is None else set(map(inputs1, t1)))
+            t2 = build(s2, carried1 and (carried1[0], set(map(carried1[1], t1))))
         slots[s1] = slots[s2] = {}  # free merged tensors as we go
         index2: dict[tuple, list[tuple[tuple, int]]] = {}
         for tup, v in t2.items():
@@ -339,7 +370,7 @@ def contract_network(
             trace({
                 "step": n,
                 "slots": [s1, s2],
-                "from_keys": inputs1 is not None,
+                "build": list(builds),
                 "entries_in": [len(t1), len(t2)],
                 "entries_out": len(out),
             })

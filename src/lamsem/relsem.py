@@ -10,17 +10,18 @@ contraction whose sum is the vector semantics.
 
 A generator that maps inputs to outputs (``_MAPS``: determiner boxes,
 ``Mult``, ``Proj``, ``Comult``, ``Counit``, ``FockLift``) has one definition,
-the outputs of one input tuple.  :func:`generator_entries` takes it over the
-whole input carrier or, when the contraction builds the generator from the
-values that reach its inputs, over those input tuples only.  The planner
-orders its steps by bounds on entry counts (:func:`_leaf_bound`) that read
-only the generator's kind, |U| and k.
+the outputs of one input tuple (and for ``Proj`` and ``Comult`` its
+inverse).  :func:`generator_entries` takes it over the whole input carrier,
+or over the values that reach some of its inputs (times the carriers of the
+others) or all its outputs.  The planner orders its steps by bounds on entry
+counts (:func:`_leaf_bound`) that read only the generator's kind, |U| and k.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -270,38 +271,47 @@ _FUNCTIONS = (Mult, Comult, Counit, Proj)
 _MAPS = _FUNCTIONS + (DetBox, FockLift)
 
 
-def _map_of(g: Generator, m: Model, k: int):
-    """The one definition of a generator in ``_MAPS``: ``(outputs, domain)``.
+def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
+    """The one definition of a generator in ``_MAPS``: (outputs, domain, inputs).
 
     ``outputs(ins)`` lists the output tuples related to one input tuple.
     `domain` holds every input tuple that has any output, drawn from the
     input carrier, so the relation is ``outputs`` taken over `domain`.
+    ``inputs(outs)``, the inverse, lists the input tuples related to one
+    output tuple where outputs determine inputs (``Proj``, ``Comult``).
     """
     if isinstance(g, DetBox):
         lifted = isinstance(g.outs[0], FockWire)
         return (
             lambda ins: [(x,) for x in _det_images(g.word, lifted, m, k, ins[0])],
             ((a,) for a in m.subsets()),
+            None,
         )
     if isinstance(g, Mult):
         return (
             lambda ins: [(ins[0] & ins[1],)],
             itertools.product(m.subsets(), repeat=2),
+            None,
         )
     if isinstance(g, Comult):
-        return lambda ins: [ins + ins], ((a,) for a in _iter_carrier(g.wtype, m, k))
+        return (
+            lambda ins: [ins + ins],
+            ((a,) for a in _iter_carrier(g.wtype, m, k)),
+            lambda outs: [outs[:1]] if outs[0] == outs[1] else [],
+        )
     if isinstance(g, Counit):
-        return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k))
+        return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k)), None
     if isinstance(g, Proj):
         base = list(_iter_carrier(g.inner, m, k)) if g.n <= k else []
         return (
             lambda ins: [ins[0][0]] if ins[0][1] == g.n else [],
             (((items, g.n),) for items in itertools.product(base, repeat=g.n)),
+            lambda outs: [((outs, g.n),)] if g.n <= k else [],
         )
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
         image: dict = {}
-        for t in _witness_counts(g.inner, m, k):
+        for t in _witness_counts(g.inner, m, k, budget):
             image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
 
         def outputs(ins):
@@ -309,25 +319,35 @@ def _map_of(g: Generator, m: Model, k: int):
             images = (image.get(x, ()) for x in xs)
             return [((ys, n),) for ys in itertools.product(*images)]
 
-        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k))
+        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None
     raise SemanticsError(f"{g.label} does not map inputs to outputs")
 
 
 def generator_entries(
-    g: Generator, m: Model, k: int, inputs: Iterable[tuple] | None = None
+    g: Generator, m: Model, k: int, carried=None, budget: int = DEFAULT_CELL_BUDGET
 ) -> set[tuple]:
     """Flat relation tuples (ins then outs) of a single generator.
 
-    With `inputs`, only the tuples whose input part is one of them; only a
-    generator that maps inputs to outputs (``_MAPS``) takes `inputs`.
+    With ``carried = (ports, values)``, only the tuples whose values at
+    those ports (ascending) are in `values`.  Only a generator in ``_MAPS``
+    takes it: at some of its inputs, whose values are taken times the
+    carriers of the others, or at all its outputs, if they determine its
+    inputs (see :func:`_map_of`).
     """
-    if inputs is not None or isinstance(g, _MAPS):
-        outputs, domain = _map_of(g, m, k)
-        return {
-            ins + outs
-            for ins in (domain if inputs is None else inputs)
-            for outs in outputs(ins)
-        }
+    if carried is not None or isinstance(g, _MAPS):
+        outputs, domain, inputs = _map_of(g, m, k, budget)
+        if carried is not None:
+            ports, values = carried
+            n_in = len(g.ins)
+            if ports[0] >= n_in:
+                return {ins + outs for outs in values for ins in inputs(outs)}
+            rest = [p for p in range(n_in) if p not in ports]
+            carriers = (_iter_carrier(g.ins[p], m, k) for p in rest)
+            fill = list(itertools.product(*carriers))
+            order = [(list(ports) + rest).index(p) for p in range(n_in)]
+            pick = operator.itemgetter(*order) if n_in > 1 else tuple
+            domain = (pick(part + more) for part in set(values) for more in fill)
+        return {ins + outs for ins in domain for outs in outputs(ins)}
     if isinstance(g, State):
         return word_entries(g.word, g.formula, m, k)
     if isinstance(g, Unit):
@@ -343,19 +363,21 @@ def generator_entries(
     raise SemanticsError(f"no relational interpretation for {g.label}")
 
 
-def _leaf_bound(g: Generator, size: int, k: int) -> tuple[int, int | None]:
-    """Bounds on g's entries and, if g is in ``_MAPS``, on its fanout.
+def _leaf_bound(g: Generator, size: int, k: int) -> tuple[int, int | None, int | None]:
+    """Bounds on g's entries and, if g is in ``_MAPS``, on its fanout and (if
+    its outputs determine its inputs) its fanin, or None.
 
     They read only the kind of g, |U| and k, so a plan can use them.
     """
     if isinstance(g, _MAPS):
         fanout = 1 if isinstance(g, _FUNCTIONS) else _carrier_product(g.outs, size, k)
-        return _carrier_product(g.ins, size, k) * fanout, fanout
+        fanin = 1 if isinstance(g, (Proj, Comult)) else None
+        return _carrier_product(g.ins, size, k) * fanout, fanout, fanin
     if isinstance(g, State):
-        return _word_bound(g.formula, size, k), None
+        return _word_bound(g.formula, size, k), None, None
     if isinstance(g, Unit):
-        return 1, None
-    return _carrier_product(g.ins + g.outs, size, k), None
+        return 1, None, None
+    return _carrier_product(g.ins + g.outs, size, k), None, None
 
 
 def generator_rel(g: Generator, m: Model, k: int = DEFAULT_K) -> FinRel:
@@ -391,7 +413,7 @@ def _witness_counts(
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
     return contract_network(
         _plan(d, m.size, k),
-        lambda tn, inputs: generator_entries(tn.gen, m, k, inputs),
+        lambda tn, carried: generator_entries(tn.gen, m, k, carried, budget),
         lambda w: carrier_size(w, m.size, k),
         budget,
     )

@@ -190,11 +190,15 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     assert searches and all(set(r) == SEARCH_KEYS for r in searches)
     assert rewrites and all(set(r["rewrites"]) == REWRITE_NAMES for r in rewrites)
     assert steps and all(
-        set(s) == {"step", "slots", "from_keys", "entries_in", "entries_out"}
+        set(s) == {"step", "slots", "build", "entries_in", "entries_out"}
+        and s["build"][0] in ("result", "whole")
+        and s["build"][1] in ("result", "whole", "inputs", "some inputs", "outputs")
         for s in steps
     )
     if sentence == DONKEY:  # its determiners are built from their nouns alone
-        assert any(s["from_keys"] and s["entries_in"][0] == 1 for s in steps)
+        assert any(s["build"][1] == "inputs" and s["entries_in"][0] == 1 for s in steps)
+        # Mult from the one input the determiner gives, Proj(2) from its outputs
+        assert {"some inputs", "outputs"} <= {s["build"][1] for s in steps}
 
 
 SEARCH_KEYS = {

@@ -95,11 +95,11 @@ def test_open_identity_proofs_compile_to_an_id():
     assert lifted[0].nodes == (FockLift(Diagram((Id(NWire()),), (), ((0, 0),), ((0, 0),))),)
 
 
-def _perm_nodes(node: dict):
-    if node["rule"] == "Perm":
+def _rule_nodes(node: dict, rule: str):
+    if node["rule"] == rule:
         yield node
     for p in node["premises"]:
-        yield from _perm_nodes(p)
+        yield from _rule_nodes(p, rule)
 
 
 def test_tampered_perm_data_is_a_diagram_error_or_well_typed(lexicon):
@@ -110,7 +110,7 @@ def test_tampered_perm_data_is_a_diagram_error_or_well_typed(lexicon):
     outcomes = Counter()
     for proof in proofs:
         data = json.loads(proof_to_json(proof))
-        for node in _perm_nodes(data):
+        for node in _rule_nodes(data, "Perm"):
             n, dst = len(node["sequent"]["antecedent"]), node["data"]["dst"]
             for shift in (1, 2, -1):
                 node["data"]["dst"] = (dst + shift) % n
@@ -127,6 +127,25 @@ def test_tampered_perm_data_is_a_diagram_error_or_well_typed(lexicon):
                 proof_to_diagram(proof_from_json(json.dumps(data), lexicon.atoms), lexicon, words=words)
             node["data"]["dst"] = dst
     assert outcomes == {"DiagramError": 112, "well-typed": 32}
+
+
+def test_bang_left_with_too_many_copies_is_a_diagram_error(lexicon):
+    """A `!L` that claims one or two copies more than its premise holds is
+    rejected, not an IndexError."""
+    words, proofs = find_proofs(lexicon, DONKEY)
+    tried = 0
+    for proof in proofs:
+        data = json.loads(proof_to_json(proof))
+        for node in _rule_nodes(data, "!L"):
+            n = node["data"]["n"]
+            for shift in (1, 2):
+                node["data"]["n"] = n + shift
+                tampered = proof_from_json(json.dumps(data), lexicon.atoms)
+                with pytest.raises(DiagramError):
+                    proof_to_diagram(tampered, lexicon, words=words)
+                tried += 1
+            node["data"]["n"] = n
+    assert tried == 32
 
 
 @pytest.mark.parametrize("sequent", ["np, np\\s -> s", "s/np, np -> s"])

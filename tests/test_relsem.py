@@ -43,6 +43,7 @@ from lamsem.diagram import (
     export,
 )
 from lamsem.formula import parse_formula
+from lamsem.planner import STEP_TRACE
 from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
 
 ATOMS = ("np", "n", "s")
@@ -203,8 +204,10 @@ def input_driven_generators():
 @pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_build_from_inputs_is_the_filtered_relation(size, k):
-    """Built from input tuples, a generator gives exactly the tuples of its
-    whole relation whose inputs are among them (the empty set included)."""
+    """Built from the values at some of its input ports, or at all its
+    output ports when they determine its inputs, a generator gives exactly
+    the tuples of its whole relation whose values there are among them (the
+    empty set included)."""
     from lamsem.relsem import generator_entries
 
     m = Model(
@@ -217,14 +220,26 @@ def test_build_from_inputs_is_the_filtered_relation(size, k):
     for g in generators:
         if relsem._carrier_product(g.ins, size, k) > 5000:
             continue  # the Fock-lifted Mult at |U| = 3, k = 3
-        carrier = list(itertools.product(*(interp_object(w, m, k) for w in g.ins)))
+        n_in, wires = len(g.ins), g.ins + g.outs
         whole = generator_entries(g, m, k)
-        assert generator_entries(g, m, k, carrier) == whole
-        n_in = len(g.ins)
-        for n in (0, 1, 2, len(carrier) // 3):
-            keys = set(rng.sample(carrier, min(n, len(carrier))))
-            want = {t for t in whole if t[:n_in] in keys}
-            assert generator_entries(g, m, k, keys) == want, (g.label, keys)
+        carrier = list(itertools.product(*(interp_object(w, m, k) for w in g.ins)))
+        assert generator_entries(g, m, k, (tuple(range(n_in)), carrier)) == whole
+        port_sets = [
+            tuple(sorted(rng.sample(range(n_in), r))) for r in range(1, n_in + 1)
+        ]
+        if isinstance(g, (Proj, Comult)):
+            port_sets.append(tuple(range(n_in, len(wires))))
+        for ports in port_sets:
+            values = list(
+                itertools.product(*(interp_object(wires[p], m, k) for p in ports))
+            )
+            related = sorted({tuple(t[p] for p in ports) for t in whole}, key=repr)
+            for n in (0, 1, 2, len(values) // 3):
+                keys = set(rng.sample(values, min(n, len(values))))
+                keys |= set(rng.sample(related, min(n, len(related))))
+                want = {t for t in whole if tuple(t[p] for p in ports) in keys}
+                got = generator_entries(g, m, k, (ports, keys))
+                assert got == want, (g.label, ports, keys)
 
 
 # ----------------------------------------------------------- algebraic laws
@@ -458,7 +473,7 @@ def test_eval_rejects_bad_k(lexicon, model_dogs):
     for k in (0, 4, 9):
         with pytest.raises(SemanticsError):
             eval_diagram_rel(d, model_dogs, k=k)
-    with pytest.raises(DiagramError):  # the carrier budget, on the cached plan
+    with pytest.raises(DiagramError):  # the plan's bound, on the cached plan
         eval_diagram_rel(d, model_dogs, k=3, budget=1)
 
 
@@ -539,7 +554,11 @@ def test_donkey_matches_the_reference_at_four_entities(lexicon):
 
 def test_donkey_builds_few_generator_entries(lexicon, monkeypatch):
     """Leaves built from the values that reach them stay small at |U| = 5:
-    the whole relations come to about 23.5k entries per evaluation."""
+    the whole relations come to about 23.5k entries per evaluation.  Models
+    shaped like the benchmark's (one farmer and one donkey, six owns and
+    six beats pairs) build at most 1,500; denser ones build more, because
+    the lifted `a` box and Proj(2) are built from every value that reaches
+    them (up to 992 and 1,024 entries)."""
     d = sentence_diagram(lexicon, DONKEY)
     built = []
     real = relsem.generator_entries
@@ -558,7 +577,60 @@ def test_donkey_builds_few_generator_entries(lexicon, monkeypatch):
         binary={"owns": frozenset(), "beats": frozenset()},
         determiners={"every": "every", "a": "some"},
     )
-    for m in models + [everything]:
+    cells = list(itertools.product(range(5), repeat=2))
+    sparse = [
+        Model(
+            universe=models[0].universe,
+            unary={name: 1 << rng.randrange(5) for name in ("farmer", "donkey")},
+            binary={name: frozenset(rng.sample(cells, 6)) for name in ("owns", "beats")},
+            determiners={"every": "every", "a": "some"},
+        )
+        for _ in range(8)
+    ]
+
+    def entries_built(m: Model) -> int:
         built.clear()
         assert rel_true(eval_diagram_rel(d, m, 2)) == donkey_oracle(m)
-        assert 0 < sum(built) < 5000
+        return sum(built)
+
+    for m in models + [everything]:
+        assert 0 < entries_built(m) <= 2200
+    for m in sparse:
+        assert 0 < entries_built(m) <= 1500
+
+
+def test_budget_below_the_plan_bound_raises_before_building(lexicon, monkeypatch):
+    d = sentence_diagram(lexicon, DONKEY)
+    m = random_donkey_model(random.Random(3), 5)
+    bound = relsem._plan(d, 5, 2).bound
+    built = []
+    real = relsem.generator_entries
+    monkeypatch.setattr(relsem, "generator_entries", lambda *a: built.append(a) or real(*a))
+    with pytest.raises(DiagramError, match="budget"):
+        eval_diagram_rel(d, m, 2, budget=bound - 1)
+    assert built == []
+    assert rel_true(eval_diagram_rel(d, m, 2, budget=bound)) == donkey_oracle(m)
+    assert built
+    # a Fock-lifted diagram is evaluated under the same budget
+    lift = FockLift(Diagram((Mult(),), (), ((0, 0), (0, 1)), ((0, 0),)))
+    with pytest.raises(DiagramError, match="budget"):
+        real(lift, m, 2, None, 10)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_default_budget_evaluates_the_donkey_up_to_six_entities(lexicon, k):
+    """The plan's bound holds every tensor it builds or outputs, and stays
+    under the default budget up to |U| = 6."""
+    d = sentence_diagram(lexicon, DONKEY)
+    rng = random.Random(k)
+    for size in range(1, 7):
+        bound = relsem._plan(d, size, k).bound
+        assert bound <= relsem.DEFAULT_CELL_BUDGET
+        m = random_donkey_model(rng, size)
+        seen = []
+        token = STEP_TRACE.set(lambda r: seen.extend(r["entries_in"] + [r["entries_out"]]))
+        try:
+            assert rel_true(eval_diagram_rel(d, m, k)) == donkey_oracle(m)
+        finally:
+            STEP_TRACE.reset(token)
+        assert 0 < max(seen) <= bound
