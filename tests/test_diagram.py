@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import DONKEY, find_proofs, sentence_diagram
@@ -18,6 +20,7 @@ from lamsem import (
     typecheck,
     typecheck_report,
 )
+from lamsem.cli import main
 from lamsem.diagram import (
     Cup,
     Edge,
@@ -32,6 +35,7 @@ from lamsem.formula import Atom, parse_formula, parse_sequent
 from lamsem.prover import proof_from_json, proof_to_json, prove
 
 ATOMS = ("np", "n", "s")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def non_lexical(d: Diagram) -> dict[str, int]:
@@ -199,6 +203,30 @@ def test_substitute_wirings_is_idempotent(lexicon, sentence, goal):
 
 
 # ---------------------------------------------------------- serialization
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("every-dog", ["every dog eats snacks"]),
+        ("donkey", [DONKEY]),
+        ("john", ["john sleeps. he snores."]),
+        ("dogs", ["dogs eat snacks"]),
+        ("dogs-who", ["dogs who eat snacks", "--goal", "np"]),
+        ("a-farmer", ["a farmer owns a donkey"]),
+        ("every-farmer", ["every farmer beats john"]),
+    ],
+)
+def test_diagram_exports_match_the_goldens(tmp_path, capsys, name, argv):
+    """`lamsem diagram` writes every distinct diagram's JSON and DOT byte for
+    byte as in tests/golden (numbered `-2`, `-3`, ... past the first)."""
+    json_path, dot_path = tmp_path / f"{name}.json", tmp_path / f"{name}.dot"
+    assert main(["diagram", *argv, "--export-json", str(json_path), "--export-dot", str(dot_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    own = re.compile(rf"{re.escape(name)}(-\d+)?\.(json|dot)")
+    assert written == sorted(p.name for p in GOLDEN.iterdir() if own.fullmatch(p.name))
+    for file in written:
+        assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
 
 
 def test_json_round_trip(lexicon):
