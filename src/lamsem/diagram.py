@@ -11,15 +11,20 @@ A proof compiles straight into one port graph: each rule wires up the wire
 bundles of its premises, and a Perm only reorders bundles, so a compiled
 diagram has no Swap.  :func:`substitute_wirings` is the one place where
 tagged words are rewritten (determiner boxes, pronouns, relative pronouns)
-and where wire crossings are drawn as Swaps.  The one wire-alias pass is
-the union-find of :func:`lamsem.planner.extract_network`.
+and where wire crossings are drawn as Swaps.
+
+Swaps are spliced out once, as a diagram is loaded into the mutable port
+graph (``_Mut.from_diagram``).  Wiring substitution rewrites that swap-free
+graph, and :func:`swap_erased_key` reads its key off it.  The union-find of
+:func:`lamsem.planner.extract_network` is still the planner's own wire-alias
+pass.
 """
 from __future__ import annotations
 
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .formula import (
     Atom,
@@ -28,11 +33,11 @@ from .formula import (
     Formula,
     Nabla,
     Over,
-    Sequent,
     Tensor,
     Under,
     format_formula,
     parse_formula,
+    strip_nabla,
 )
 from .lexicon import (
     Lexicon,
@@ -216,20 +221,11 @@ class DetBox(Generator):
     formula: Formula  # un-banged determiner formula with matrix X / n
 
     def __post_init__(self) -> None:
-        m = self.formula
-        while isinstance(m, Nabla):
-            m = m.inner
+        m = strip_nabla(self.formula)
         if not (isinstance(m, Over) and m.right == Atom("n")):
             raise DiagramError(f"DetBox formula must have matrix X/n: {m!r}")
         if len(formula_wires(m.left)) != 1:
             raise DiagramError("DetBox result must be a single wire")
-
-    @property
-    def _matrix(self) -> Over:
-        m = self.formula
-        while isinstance(m, Nabla):
-            m = m.inner
-        return m  # type: ignore[return-value]
 
     @property
     def ins(self) -> tuple[WireType, ...]:
@@ -237,7 +233,7 @@ class DetBox(Generator):
 
     @property
     def outs(self) -> tuple[WireType, ...]:
-        return formula_wires(self._matrix.left)
+        return formula_wires(strip_nabla(self.formula).left)
 
     @property
     def label(self) -> str:
@@ -303,11 +299,6 @@ class Swap(Generator):
         if in_port < len(self.a):
             return len(self.b) + in_port
         return in_port - len(self.a)
-
-    def back(self, out_port: int) -> int:
-        if out_port < len(self.b):
-            return len(self.a) + out_port
-        return out_port - len(self.b)
 
 
 @dataclass(frozen=True)
@@ -428,13 +419,6 @@ class Diagram:
 
     def output_types(self) -> tuple[WireType, ...]:
         return tuple(self.nodes[n].outs[p] for n, p in self.outputs)
-
-    def generator_multiset(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.nodes:
-            key = g.label if isinstance(g, (Proj,)) else type(g).__name__
-            out[key] = out.get(key, 0) + 1
-        return out
 
     def non_lexical_multiset(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -582,6 +566,9 @@ class _Mut:
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Mut":
+        """The port graph of `d`, with every Swap spliced out: each wire
+        through a Swap connects its two ends straight, and node ids are
+        those of `d`."""
         m = cls()
         for gen in d.nodes:
             m.add(gen)
@@ -590,7 +577,25 @@ class _Mut:
         m.inputs = list(d.inputs)
         m.outputs = list(d.outputs)
         m.discarded = set(d.discarded)
+        for nid, gen in enumerate(d.nodes):
+            if isinstance(gen, Swap):
+                m._splice(nid, gen)
         return m
+
+    def _splice(self, nid: int, gen: "Swap") -> None:
+        for p in range(len(gen.ins)):
+            out = (nid, gen.through(p))
+            src = self.src_of.get((nid, p))
+            if src is not None:
+                self.disconnect(src)
+                self.rewire_out(out, src)
+            elif out in self.dst_of:
+                dst = self.dst_of[out]
+                self.disconnect(out)
+                self.rewire_in((nid, p), dst)
+            else:
+                raise DiagramError("a boundary input runs through a swap to the boundary")
+        del self.gens[nid]
 
     def freeze(self) -> Diagram:
         order = sorted(self.gens)
@@ -844,197 +849,148 @@ def proof_to_diagram(
 
 
 # ---------------------------------------------------------------- rewriting
+#
+# Each rewrite is a node-local rule ``rule(mut, nid, gen, lex) -> bool`` that
+# rewrites around node `nid` (a `gen` of the kind it is paired with in
+# ``_RULES``) and says whether it fired.
 
 
-def _strip_bang(f: Formula) -> Formula:
-    assert isinstance(f, Bang)
-    return f.inner
-
-
-def _rewrite_proj1_absorb(mut: _Mut, lex: Lexicon) -> bool:
+def _rewrite_proj1_absorb(mut: _Mut, nid: int, gen: Proj, lex: Lexicon) -> bool:
     """pi_1 after a Fock-lifted word state is the un-lifted word state."""
-    for nid, gen in list(mut.gens.items()):
-        if not (isinstance(gen, Proj) and gen.n == 1):
-            continue
-        src = mut.src_of.get((nid, 0))
-        if src is None:
-            continue
-        st = mut.gens[src[0]]
-        if not (isinstance(st, State) and isinstance(st.formula, Bang)):
-            continue
-        if len(st.outs) != 1:
-            continue
-        new_state = State(st.word, _strip_bang(st.formula))
-        new_nid = mut.add(new_state)
-        for port in range(len(new_state.outs)):
-            mut.rewire_out((nid, port), (new_nid, port))
-        mut.remove_node(nid)
-        mut.remove_node(src[0])
-        return True
-    return False
+    src = mut.src_of.get((nid, 0))
+    if gen.n != 1 or src is None:
+        return False
+    st = mut.gens[src[0]]
+    if not (isinstance(st, State) and isinstance(st.formula, Bang) and len(st.outs) == 1):
+        return False
+    new_state = State(st.word, st.formula.inner)
+    new_nid = mut.add(new_state)
+    for port in range(len(new_state.outs)):
+        mut.rewire_out((nid, port), (new_nid, port))
+    mut.remove_node(nid)
+    mut.remove_node(src[0])
+    return True
 
 
-def _rewrite_detbox(mut: _Mut, lex: Lexicon) -> bool:
+def _rewrite_detbox(mut: _Mut, nid: int, gen: State, lex: Lexicon) -> bool:
     """Determiner State whose noun-argument wire is cupped with the noun
     becomes a DetBox fed directly by the noun."""
-    for nid, gen in list(mut.gens.items()):
-        if not isinstance(gen, State):
-            continue
-        if lex.wiring(gen.word) != WIRING_DETBOX:
-            continue
-        f = gen.formula
-        m = f
-        while isinstance(m, Nabla):
-            m = m.inner
-        if not (isinstance(m, Over) and m.right == Atom("n")):
-            continue
-        if len(formula_wires(m.left)) != 1 or len(gen.outs) != 2:
-            continue
-        arg = mut.dst_of.get((nid, 1))
-        if arg is None:
-            continue
-        cup_nid, cup_port = arg
-        cup = mut.gens[cup_nid]
-        if not isinstance(cup, Cup):
-            continue
-        other = mut.src_of.get((cup_nid, 1 - cup_port))
-        if other is None:
-            continue
-        db = mut.add(DetBox(gen.word, f))
-        mut.disconnect((nid, 1))
-        mut.disconnect(other)
-        mut.connect(other, (db, 0))
-        mut.rewire_out((nid, 0), (db, 0))
-        mut.remove_node(cup_nid)
-        mut.remove_node(nid)
-        return True
-    return False
+    if lex.wiring(gen.word) != WIRING_DETBOX:
+        return False
+    m = strip_nabla(gen.formula)
+    if not (isinstance(m, Over) and m.right == Atom("n")):
+        return False
+    if len(formula_wires(m.left)) != 1 or len(gen.outs) != 2:
+        return False
+    arg = mut.dst_of.get((nid, 1))
+    if arg is None or not isinstance(mut.gens[arg[0]], Cup):
+        return False
+    cup_nid, cup_port = arg
+    other = mut.src_of.get((cup_nid, 1 - cup_port))
+    if other is None:
+        return False
+    db = mut.add(DetBox(gen.word, gen.formula))
+    mut.disconnect((nid, 1))
+    mut.disconnect(other)
+    mut.connect(other, (db, 0))
+    mut.rewire_out((nid, 0), (db, 0))
+    mut.remove_node(cup_nid)
+    mut.remove_node(nid)
+    return True
 
 
-def _rewrite_relpro(mut: _Mut, lex: Lexicon) -> bool:
+def _rewrite_relpro(mut: _Mut, nid: int, gen: State, lex: Lexicon) -> bool:
     """Relative pronoun State -> Frobenius wiring (two caps feeding a Mult,
     sentence wire produced by a trivial unit)."""
-    for nid, gen in list(mut.gens.items()):
-        if not isinstance(gen, State):
-            continue
-        if lex.wiring(gen.word) != WIRING_RELPRO:
-            continue
-        if gen.outs != (NWire(), NWire(), SWire(), NWire()):
-            continue
-        cap1 = mut.add(Cap(NWire()))
-        cap2 = mut.add(Cap(NWire()))
-        mult = mut.add(Mult(NWire()))
-        unit_s = mut.add(Unit(SWire()))
-        mut.connect((cap1, 1), (mult, 0))
-        mut.connect((cap2, 1), (mult, 1))
-        mut.rewire_out((nid, 0), (cap1, 0))
-        mut.rewire_out((nid, 1), (mult, 0))
-        mut.rewire_out((nid, 2), (unit_s, 0))
-        mut.rewire_out((nid, 3), (cap2, 0))
-        mut.remove_node(nid)
-        return True
-    return False
+    if lex.wiring(gen.word) != WIRING_RELPRO:
+        return False
+    if gen.outs != (NWire(), NWire(), SWire(), NWire()):
+        return False
+    cap1 = mut.add(Cap(NWire()))
+    cap2 = mut.add(Cap(NWire()))
+    mult = mut.add(Mult(NWire()))
+    unit_s = mut.add(Unit(SWire()))
+    mut.connect((cap1, 1), (mult, 0))
+    mut.connect((cap2, 1), (mult, 1))
+    mut.rewire_out((nid, 0), (cap1, 0))
+    mut.rewire_out((nid, 1), (mult, 0))
+    mut.rewire_out((nid, 2), (unit_s, 0))
+    mut.rewire_out((nid, 3), (cap2, 0))
+    mut.remove_node(nid)
+    return True
 
 
-def _rewrite_pronoun(mut: _Mut, lex: Lexicon) -> bool:
+def _rewrite_pronoun(mut: _Mut, nid: int, gen: State, lex: Lexicon) -> bool:
     """Pronoun State -> Cap passing the referent wire through."""
-    for nid, gen in list(mut.gens.items()):
-        if not isinstance(gen, State):
+    if lex.wiring(gen.word) != WIRING_PRONOUN or gen.outs != (NWire(), NWire()):
+        return False
+    cap = mut.add(Cap(NWire()))
+    mut.rewire_out((nid, 0), (cap, 0))
+    mut.rewire_out((nid, 1), (cap, 1))
+    mut.remove_node(nid)
+    return True
+
+
+def _rewrite_snake(mut: _Mut, nid: int, gen: Cup, lex: Lexicon) -> bool:
+    """Cup fed by one leg of a Cap cancels: the remaining legs join up."""
+    for port in (0, 1):
+        src = mut.src_of.get((nid, port))
+        if src is None:
             continue
-        if lex.wiring(gen.word) != WIRING_PRONOUN:
+        cap_nid, cap_port = src
+        if not isinstance(mut.gens[cap_nid], Cap):
             continue
-        if gen.outs != (NWire(), NWire()):
-            continue
-        cap = mut.add(Cap(NWire()))
-        mut.rewire_out((nid, 0), (cap, 0))
-        mut.rewire_out((nid, 1), (cap, 1))
+        other_in = mut.src_of.get((nid, 1 - port))
+        if other_in is None or other_in[0] == cap_nid:
+            continue  # closed loop: leave for the evaluator
+        mut.disconnect(other_in)
+        mut.rewire_out((cap_nid, 1 - cap_port), other_in)
         mut.remove_node(nid)
+        mut.remove_node(cap_nid)
         return True
     return False
 
 
-def _rewrite_snake(mut: _Mut) -> bool:
-    """Cup fed by one leg of a Cap cancels: the remaining legs join up."""
-    for nid, gen in list(mut.gens.items()):
-        if not isinstance(gen, Cup):
-            continue
-        for port in (0, 1):
-            producer = mut.src_of.get((nid, port))
-            if producer is None:
-                continue
-            cap_nid, cap_port = producer
-            cap = mut.gens[cap_nid]
-            if not isinstance(cap, Cap):
-                continue
-            other_in = mut.src_of.get((nid, 1 - port))
-            if other_in is None or other_in[0] == cap_nid:
-                continue  # closed loop: leave for the evaluator
-            other_out = (cap_nid, 1 - cap_port)
-            mut.disconnect(other_in)
-            mut.rewire_out(other_out, other_in)
-            mut.remove_node(nid)
-            mut.remove_node(cap_nid)
-            return True
-    return False
-
-
-def _rewrite_s_erasure(mut: _Mut) -> bool:
+def _rewrite_s_erasure(mut: _Mut, nid: int, gen: Cup | Counit, lex: Lexicon) -> bool:
     """The sentence wire is the monoidal unit: closed S wires vanish.
 
-    Cup(S)/Counit(S) are removed; their feeders become discarded ports, or
-    disappear entirely when the feeder is a trivial Unit(S).
+    A Cup(S) or Counit(S) is removed; its feeders become discarded ports,
+    or disappear entirely when the feeder is a trivial Unit(S).
     """
-    for nid, gen in list(mut.gens.items()):
-        if isinstance(gen, Cup) and gen.wtype == SWire():
-            producers = [mut.src_of.get((nid, p)) for p in (0, 1)]
-            if any(p is None for p in producers):
-                continue
-            mut.remove_node(nid)
-            for f in producers:
-                src_gen = mut.gens.get(f[0])
-                if isinstance(src_gen, Unit) and src_gen.wtype == SWire():
-                    mut.remove_node(f[0])
-                else:
-                    mut.discarded.add(f)
-            return True
-        if isinstance(gen, Counit) and gen.wtype == SWire():
-            producer = mut.src_of.get((nid, 0))
-            if producer is None:
-                continue
-            mut.remove_node(nid)
-            src_gen = mut.gens.get(producer[0])
-            if isinstance(src_gen, Unit) and src_gen.wtype == SWire():
-                mut.remove_node(producer[0])
-            else:
-                mut.discarded.add(producer)
-            return True
-    return False
+    feeders = [mut.src_of.get((nid, p)) for p in range(len(gen.ins))]
+    if gen.wtype != SWire() or None in feeders:
+        return False
+    mut.remove_node(nid)
+    for f in feeders:
+        if mut.gens.get(f[0]) == Unit(SWire()):
+            mut.remove_node(f[0])
+        else:
+            mut.discarded.add(f)
+    return True
 
 
-def _rewrite_id(mut: _Mut) -> bool:
-    for nid, gen in list(mut.gens.items()):
-        if isinstance(gen, Id):
-            feeder = mut.src_of.get((nid, 0))
-            if feeder is None:
-                continue
-            mut.disconnect(feeder)
-            mut.rewire_out((nid, 0), feeder)
-            mut.remove_node(nid)
-            return True
-    return False
+def _rewrite_id(mut: _Mut, nid: int, gen: Id, lex: Lexicon) -> bool:
+    """An Id fed by a node is a bare wire."""
+    feeder = mut.src_of.get((nid, 0))
+    if feeder is None:
+        return False
+    mut.disconnect(feeder)
+    mut.rewire_out((nid, 0), feeder)
+    mut.remove_node(nid)
+    return True
 
 
-_LEX_REWRITES = (
-    _rewrite_proj1_absorb,
-    _rewrite_detbox,
-    _rewrite_relpro,
-    _rewrite_pronoun,
+# the rewrites in priority order, each with the generator kind it matches
+_RULES = (
+    (Proj, _rewrite_proj1_absorb),
+    (State, _rewrite_detbox),
+    (State, _rewrite_relpro),
+    (State, _rewrite_pronoun),
+    (Cup, _rewrite_snake),
+    ((Cup, Counit), _rewrite_s_erasure),
+    (Id, _rewrite_id),
 )
-_REWRITES = (
-    _rewrite_snake,
-    _rewrite_s_erasure,
-    _rewrite_id,
-)
+_ID_RULES = _RULES[-1:]
 
 # Called with one dict of rewrite counts per ``substitute_wirings`` call while
 # set (``lamsem … --trace`` prints them); None, the default, costs one lookup.
@@ -1043,14 +999,13 @@ REWRITE_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
 )
 
 
-def _rewrite_once(mut: _Mut, lex: Lexicon) -> Optional[Callable]:
-    """Apply the first rewrite that matches; it, or None if none does."""
-    for rw in _LEX_REWRITES:
-        if rw(mut, lex):
-            return rw
-    for rw in _REWRITES:
-        if rw(mut):
-            return rw
+def _rewrite_once(mut: _Mut, lex: Optional[Lexicon], rules=_RULES) -> Optional[Callable]:
+    """Fire the first rule of `rules` that matches, at the lowest node id;
+    return it, or None if none matches."""
+    for kind, rule in rules:
+        for nid, gen in mut.gens.items():
+            if isinstance(gen, kind) and rule(mut, nid, gen, lex):
+                return rule
     return None
 
 
@@ -1058,34 +1013,6 @@ def _rewrite_once(mut: _Mut, lex: Lexicon) -> Optional[Callable]:
 
 _SYMMETRIC_INS = (Cup, Mult)  # input legs commute
 _EXCHANGEABLE_OUTS = (Proj, Cap)  # output legs are interchangeable
-
-
-def _splice_all_swaps(mut: _Mut) -> None:
-    """Remove every Swap node, connecting each wire straight through."""
-    for nid in sorted(n for n, g in mut.gens.items() if isinstance(g, Swap)):
-        gen = mut.gens[nid]
-        for p in range(len(gen.ins)):
-            q = (nid, gen.through(p))
-            src = mut.src_of.pop((nid, p), None)
-            if src is not None:
-                mut.dst_of.pop(src, None)
-            if q in mut.dst_of:
-                dst = mut.dst_of.pop(q)
-                mut.src_of.pop(dst, None)
-                if src is not None:
-                    mut.connect(src, dst)
-                else:
-                    mut.inputs = [dst if x == (nid, p) else x for x in mut.inputs]
-            elif q in mut.discarded:
-                mut.discarded.discard(q)
-                if src is None:
-                    raise DiagramError("boundary input wire is discarded")
-                mut.discarded.add(src)
-            elif q in mut.outputs:
-                if src is None:
-                    raise DiagramError("boundary-to-boundary wire through a swap")
-                mut.outputs = [src if x == q else x for x in mut.outputs]
-        del mut.gens[nid]
 
 
 def _reinsert_swaps(mut: _Mut) -> None:
@@ -1231,19 +1158,18 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
 
     Relative pronouns become the Frobenius wiring (caps + Mult), pronouns
     become Caps, determiners turn into DetBoxes (a Fock-lifted one loses
-    its trivial pi_1 first).  Swaps in `d` are spliced out first.  The
-    result is then normalized: snakes cancel, closed sentence wires vanish,
-    and the wire crossings are drawn as Swaps, so substituting a
+    its trivial pi_1 first).  Swaps in `d` are spliced out as it is loaded.
+    The result is then normalized: snakes cancel, closed sentence wires
+    vanish, and the wire crossings are drawn as Swaps, so substituting a
     substituted diagram gives it back.
     """
     report = typecheck_report(d)
     if report is not None:
         raise DiagramError(f"ill-typed diagram: {report}")
     mut = _Mut.from_diagram(d)
-    _splice_all_swaps(mut)
-    fired = dict.fromkeys(_LEX_REWRITES + _REWRITES, 0)
-    while (rw := _rewrite_once(mut, lex)) is not None:
-        fired[rw] += 1
+    fired = dict.fromkeys((rule for _, rule in _RULES), 0)
+    while (rule := _rewrite_once(mut, lex)) is not None:
+        fired[rule] += 1
     _reinsert_swaps(mut)
     out = mut.freeze()
     report = typecheck_report(out)
@@ -1253,7 +1179,7 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
     if trace is not None:
         trace({
             "rewrites": {
-                rw.__name__.removeprefix("_rewrite_"): n for rw, n in fired.items()
+                rule.__name__.removeprefix("_rewrite_"): n for rule, n in fired.items()
             }
         })
     return out
@@ -1265,118 +1191,42 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
 def swap_erased_key(d: Diagram):
     """Structural key invariant under Swap/Id placement.
 
-    Swap and Id nodes are treated as bare wire crossings; the remaining DAG
-    is canonically relabeled by a traversal from the output boundary.
+    The key is read off the port graph with every Swap spliced out and every
+    Id fed by a node removed: its generators, numbered in the order of a
+    traversal from the output boundary, then the discarded ports, the input
+    boundary and the remaining nodes, with the edges and boundaries in that
+    numbering.
     """
-
-    d_dst = {(e.src, e.src_port): (e.dst, e.dst_port) for e in d.edges}
-    d_src = {(e.dst, e.dst_port): (e.src, e.src_port) for e in d.edges}
-
-    def consumer(out_port: Port) -> Optional[Port]:
-        """Real consumer of an output port, seen through Swap/Id nodes."""
-        while True:
-            dst = d_dst.get(out_port)
-            if dst is None:
-                return None  # boundary or discarded
-            nid, p = dst
-            gen = d.nodes[nid]
-            if isinstance(gen, Swap):
-                out_port = (nid, gen.through(p))
-            elif isinstance(gen, Id):
-                out_port = (nid, 0)
-            else:
-                return dst
-
-    def producer(out_port: Port) -> Optional[Port]:
-        """Real producing port behind `out_port` if it sits on a Swap/Id."""
-        while True:
-            nid, p = out_port
-            gen = d.nodes[nid]
-            if isinstance(gen, Swap):
-                src = d_src.get((nid, gen.back(p)))
-            elif isinstance(gen, Id):
-                src = d_src.get((nid, 0))
-            else:
-                return out_port
-            if src is None:
-                return None  # traces back to the input boundary
-            out_port = src
-
-    # canonical ids by traversal from outputs, then discarded, then inputs
+    mut = _Mut.from_diagram(d)
+    while _rewrite_once(mut, None, _ID_RULES) is not None:
+        pass
     order: dict[int, int] = {}
 
     def visit(nid: int) -> None:
-        if nid in order or isinstance(d.nodes[nid], (Swap, Id)):
+        if nid in order:
             return
         order[nid] = len(order)
-        gen = d.nodes[nid]
+        gen = mut.gens[nid]
         for p in range(len(gen.ins)):
-            src = d_src.get((nid, p))
+            src = mut.src_of.get((nid, p))
             if src is not None:
-                real = producer(src)
-                if real is not None:
-                    visit(real[0])
+                visit(src[0])
         for p in range(len(gen.outs)):
-            dst = consumer((nid, p))
+            dst = mut.dst_of.get((nid, p))
             if dst is not None:
                 visit(dst[0])
 
-    for port in d.outputs:
-        real = producer(port)
-        if real is not None:
-            visit(real[0])
-    for nid, _ in sorted(d.discarded):
+    ends = mut.outputs + sorted(mut.discarded) + mut.inputs
+    for nid in [nid for nid, _ in ends] + sorted(mut.gens):
         visit(nid)
-    for port in d.inputs:
-        nid, p = port
-        if not isinstance(d.nodes[nid], (Swap, Id)):
-            visit(nid)
-    for nid in range(len(d.nodes)):
-        visit(nid)
-
-    def gen_key(gen: Generator):
-        if isinstance(gen, State):
-            return ("State", gen.word, format_formula(gen.formula))
-        if isinstance(gen, DetBox):
-            return ("DetBox", gen.word, format_formula(gen.formula))
-        if isinstance(gen, Proj):
-            return ("Proj", gen.n, wtype_to_str(gen.inner))
-        if isinstance(gen, FockLift):
-            return ("FockLift", export(gen.inner, "json"))
-        if isinstance(gen, (Cup, Cap, Id, Mult, Unit, Comult, Counit)):
-            return (type(gen).__name__, wtype_to_str(gen.wtype))
-        raise DiagramError(f"unexpected generator {gen!r}")
-
-    nodes = tuple(
-        gen_key(d.nodes[nid])
-        for nid in sorted(order, key=lambda nid: order[nid])
+    edges = sorted((order[s], sp, order[t], tp) for (s, sp), (t, tp) in mut.dst_of.items())
+    return (
+        tuple(mut.gens[nid] for nid in order),
+        tuple(edges),
+        tuple((order[nid], p) for nid, p in mut.inputs),
+        tuple((order[nid], p) for nid, p in mut.outputs),
+        tuple(sorted((order[nid], p) for nid, p in mut.discarded)),
     )
-    edges = []
-    for nid in order:
-        gen = d.nodes[nid]
-        for p in range(len(gen.outs)):
-            dst = consumer((nid, p))
-            if dst is not None:
-                edges.append((order[nid], p, order[dst[0]], dst[1]))
-    out_b = []
-    for port in d.outputs:
-        real = producer(port)
-        if real is None:
-            out_b.append((-1, port[1]))
-        else:
-            out_b.append((order[real[0]], real[1]))
-    in_b = []
-    for port in d.inputs:
-        nid, p = port
-        if isinstance(d.nodes[nid], (Swap, Id)):
-            gen = d.nodes[nid]
-            out = (nid, gen.through(p)) if isinstance(gen, Swap) else (nid, 0)
-            dst = consumer(out)
-            in_b.append((order[dst[0]], dst[1]) if dst else (-1, p))
-        else:
-            in_b.append((order[nid], p))
-    disc = tuple(sorted((order.get(nid, -1), p) for nid, p in d.discarded))
-    return (nodes, tuple(sorted(edges)), tuple(in_b), tuple(out_b), disc)
 
 
 # ---------------------------------------------------------------- export

@@ -268,6 +268,13 @@ def matrix(f: Formula) -> Formula:
     return f
 
 
+def strip_nabla(f: Formula) -> Formula:
+    """Strip any outer ``@``."""
+    while isinstance(f, Nabla):
+        f = f.inner
+    return f
+
+
 def formula_size(f: Formula) -> int:
     if isinstance(f, Atom):
         return 1

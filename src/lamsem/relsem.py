@@ -47,10 +47,11 @@ from .diagram import (
     Unit,
     WireType,
     bundle,
+    flatten,
     formula_wires,
     typecheck_report,
 )
-from .formula import Atom, Bang, Formula, Nabla, Over, Under
+from .formula import Atom, Bang, Formula, Over, Under, strip_nabla
 from .model import Model, ModelError, SubsetId
 from .planner import DEFAULT_CELL_BUDGET, Plan, contract_network, extract_network
 from .planner import plan_network
@@ -155,12 +156,6 @@ def _entries_to_finrel(
 # ------------------------------------------------------------------- words
 
 
-def _strip_nabla(f: Formula) -> Formula:
-    while isinstance(f, Nabla):
-        f = f.inner
-    return f
-
-
 def _fock(values: Iterable, k: int) -> Iterator[tuple]:
     """The Fock elements ``(items, n)`` over `values`, for n = 1..k."""
     values = list(values)
@@ -186,22 +181,22 @@ def _word_shape(f: Formula) -> str | None:
     if isinstance(f, Atom) and f.name in ("n", "np"):
         return "noun"
     if isinstance(f, Under):
-        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
+        left, right = strip_nabla(f.left), strip_nabla(f.right)
         if left == Atom("np") and right in (Atom("s"), Atom("np")):
             return "vp" if right == Atom("s") else "pronoun"
     if isinstance(f, Over):
-        left, right = _strip_nabla(f.left), _strip_nabla(f.right)
+        left, right = strip_nabla(f.left), strip_nabla(f.right)
         if (
             isinstance(left, Under)
-            and _strip_nabla(left.left) == Atom("np")
-            and _strip_nabla(left.right) == Atom("s")
+            and strip_nabla(left.left) == Atom("np")
+            and strip_nabla(left.right) == Atom("s")
             and right == Atom("np")
         ):
             return "tv"
         if right == Atom("n"):
             if left == Atom("np"):
                 return "det"
-            if isinstance(left, Bang) and _strip_nabla(left.inner) == Atom("np"):
+            if isinstance(left, Bang) and strip_nabla(left.inner) == Atom("np"):
                 return "det!"
     return None
 
@@ -214,7 +209,7 @@ def word_entries(word: str, f: Formula, m: Model, k: int) -> set[tuple]:
     transparent and ``!`` lifts the underlying relation to tuples of
     length 1..k.
     """
-    f = _strip_nabla(f)
+    f = strip_nabla(f)
     shape = _word_shape(f)
     if shape == "bang":
         base = word_entries(word, f.inner, m, k)
@@ -244,7 +239,7 @@ def word_entries(word: str, f: Formula, m: Model, k: int) -> set[tuple]:
 
 def _word_bound(f: Formula, size: int, k: int) -> int:
     """An upper bound on the entries of ``word_entries`` at formula `f`."""
-    f = _strip_nabla(f)
+    f = strip_nabla(f)
     shape = _word_shape(f)
     if shape == "bang":
         base = _word_bound(f.inner, size, k)
@@ -301,13 +296,22 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
         )
     if isinstance(g, Counit):
         return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k)), None
-    if isinstance(g, Proj):
+    if isinstance(g, Proj):  # the n items' values, `width` each, in a row
         base = list(_iter_carrier(g.inner, m, k)) if g.n <= k else []
-        return (
-            lambda ins: [ins[0][0]] if ins[0][1] == g.n else [],
-            (((items, g.n),) for items in itertools.product(base, repeat=g.n)),
-            lambda outs: [((outs, g.n),)] if g.n <= k else [],
-        )
+        width = len(flatten(g.inner))
+
+        def outputs(ins):
+            items, n = ins[0]
+            if n != g.n:
+                return []
+            return [items if width == 1 else tuple(itertools.chain.from_iterable(items))]
+
+        def inputs(outs):
+            items = outs if width == 1 else tuple(zip(*[iter(outs)] * width))
+            return [((items, g.n),)] if g.n <= k else []
+
+        domain = (((items, g.n),) for items in itertools.product(base, repeat=g.n))
+        return outputs, domain, inputs
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
         image: dict = {}

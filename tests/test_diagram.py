@@ -30,6 +30,7 @@ from lamsem.diagram import (
     State,
     SWire,
     formula_wires,
+    wtype_to_str,
 )
 from lamsem.formula import Atom, parse_formula, parse_sequent
 from lamsem.prover import proof_from_json, proof_to_json, prove
@@ -182,6 +183,72 @@ def test_donkey_perm_placement_invariance(lexicon):
         d = substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon)
         keys.add(swap_erased_key(d))
     assert len(keys) == 1
+
+
+def _wire_type(data: dict, edge: dict) -> str:
+    return wtype_to_str(diagram_from_json(json.dumps(data)).nodes[edge["src"]].outs[edge["src_port"]])
+
+
+def _with_id(data: dict, at: int) -> dict:
+    """`data` with an Id on its edge number `at`."""
+    data = json.loads(json.dumps(data))
+    edge, n = data["edges"][at], len(data["nodes"])
+    data["nodes"].append({"id": n, "gen": {"kind": "Id", "wtype": _wire_type(data, edge)}})
+    data["edges"][at:at + 1] = [
+        {"src": edge["src"], "src_port": edge["src_port"], "dst": n, "dst_port": 0},
+        {"src": n, "src_port": 0, "dst": edge["dst"], "dst_port": edge["dst_port"]},
+    ]
+    return data
+
+
+def _with_swap_pair(data: dict, i: int, j: int) -> dict:
+    """`data` with edges `i` and `j` crossed by one Swap and uncrossed by
+    another."""
+    data = json.loads(json.dumps(data))
+    e, f = data["edges"][i], data["edges"][j]
+    a, b = _wire_type(data, e), _wire_type(data, f)
+    cross, uncross = len(data["nodes"]), len(data["nodes"]) + 1
+    data["nodes"] += [
+        {"id": cross, "gen": {"kind": "Swap", "a": [a], "b": [b]}},
+        {"id": uncross, "gen": {"kind": "Swap", "a": [b], "b": [a]}},
+    ]
+    data["edges"] = [g for g in data["edges"] if g not in (e, f)] + [
+        {"src": e["src"], "src_port": e["src_port"], "dst": cross, "dst_port": 0},
+        {"src": f["src"], "src_port": f["src_port"], "dst": cross, "dst_port": 1},
+        {"src": cross, "src_port": 0, "dst": uncross, "dst_port": 0},
+        {"src": cross, "src_port": 1, "dst": uncross, "dst_port": 1},
+        {"src": uncross, "src_port": 0, "dst": e["dst"], "dst_port": e["dst_port"]},
+        {"src": uncross, "src_port": 1, "dst": f["dst"], "dst_port": f["dst_port"]},
+    ]
+    return data
+
+
+def test_swap_erased_key_ignores_ids_and_redundant_swaps(lexicon):
+    """An Id on an edge, or a Swap pair that crosses two wires and uncrosses
+    them, changes neither the key nor the substituted diagram."""
+    d = sentence_diagram(lexicon, DONKEY)
+    data = json.loads(export(d, "json"))
+    edited = [_with_id(data, i) for i in range(len(data["edges"]))]
+    # crossing two wires out of word states makes no cycle
+    words = [i for i, e in enumerate(d.edges) if isinstance(d.nodes[e.src], State)]
+    edited += [_with_swap_pair(data, i, j) for i in words for j in words if i < j]
+    assert len(edited) > 20
+    for e in edited:
+        other = diagram_from_json(json.dumps(e))
+        assert typecheck(other) and other != d
+        assert swap_erased_key(other) == swap_erased_key(d)
+        assert substitute_wirings(other, lexicon) == d
+    assert swap_erased_key(sentence_diagram(lexicon, "dogs eat snacks")) != swap_erased_key(d)
+
+
+def test_swap_erased_key_keeps_the_type_of_a_through_wire():
+    """Open compiles that pass an N wire and an S wire from the input to the
+    output boundary are different morphisms with different keys."""
+    n_through, s_through = (
+        swap_erased_key(proof_to_diagram(prove(parse_sequent(t, ATOMS)).proofs[0], None))
+        for t in ("np/n, n -> np", "s/np, np -> s")
+    )
+    assert n_through != s_through
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from lamsem.diagram import (
     Id,
     Mult,
     NWire,
+    ProductWire,
     Proj,
     Swap,
     SWire,
@@ -48,6 +49,7 @@ from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
 
 ATOMS = ("np", "n", "s")
 N = NWire()
+NN = ProductWire((N, N))
 
 
 def small_model(n: int = 2) -> Model:
@@ -193,12 +195,35 @@ def input_driven_generators():
         Proj(1, N),
         Proj(2, N),
         Proj(3, N),
+        Proj(1, NN),
+        Proj(2, NN),
         Comult(N),
         Comult(FockWire(N)),
         Counit(N),
         FockLift(some),
         FockLift(mult),
     ]
+
+
+def map_model(size: int) -> Model:
+    return Model(
+        universe=tuple(f"e{i}" for i in range(size)),
+        determiners={"every": "every", "a": "some"},
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_map_tuple_has_one_value_per_port(k):
+    """A `Proj` over a bundle of wires flattens its n items into n x width
+    output values, like every other generator gives one value per port."""
+    from lamsem.relsem import generator_entries
+
+    m = map_model(2)
+    for g in input_driven_generators():
+        entries = generator_entries(g, m, k)
+        assert all(len(t) == len(g.ins) + len(g.outs) for t in entries), g.label
+    pair = generator_entries(Proj(2, NN), map_model(1), 2)
+    assert len(pair) == 16 and all(len(t) == 5 for t in pair)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -210,10 +235,7 @@ def test_build_from_inputs_is_the_filtered_relation(size, k):
     empty set included)."""
     from lamsem.relsem import generator_entries
 
-    m = Model(
-        universe=tuple(f"e{i}" for i in range(size)),
-        determiners={"every": "every", "a": "some"},
-    )
+    m = map_model(size)
     rng = random.Random(1000 * size + k)
     generators = input_driven_generators()
     assert {type(g) for g in generators} == set(relsem._MAPS)
