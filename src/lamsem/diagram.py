@@ -567,8 +567,8 @@ class _Mut:
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Mut":
         """The port graph of `d`, with every Swap spliced out: each wire
-        through a Swap connects its two ends straight, and node ids are
-        those of `d`."""
+        through a Swap connects its two ends straight (through an Id if
+        both are on the boundary), and node ids are those of `d`."""
         m = cls()
         for gen in d.nodes:
             m.add(gen)
@@ -582,7 +582,7 @@ class _Mut:
                 m._splice(nid, gen)
         return m
 
-    def _splice(self, nid: int, gen: "Swap") -> None:
+    def _splice(self, nid: int, gen: Swap) -> None:
         for p in range(len(gen.ins)):
             out = (nid, gen.through(p))
             src = self.src_of.get((nid, p))
@@ -593,8 +593,10 @@ class _Mut:
                 dst = self.dst_of[out]
                 self.disconnect(out)
                 self.rewire_in((nid, p), dst)
-            else:
-                raise DiagramError("a boundary input runs through a swap to the boundary")
+            else:  # from the input boundary to the output boundary or a discard
+                keep = self.add(Id(gen.ins[p]))
+                self.rewire_in((nid, p), (keep, 0))
+                self.rewire_out(out, (keep, 0))
         del self.gens[nid]
 
     def freeze(self) -> Diagram:

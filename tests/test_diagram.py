@@ -28,6 +28,7 @@ from lamsem.diagram import (
     Id,
     NWire,
     State,
+    Swap,
     SWire,
     formula_wires,
     wtype_to_str,
@@ -241,14 +242,21 @@ def test_swap_erased_key_ignores_ids_and_redundant_swaps(lexicon):
     assert swap_erased_key(sentence_diagram(lexicon, "dogs eat snacks")) != swap_erased_key(d)
 
 
-def test_swap_erased_key_keeps_the_type_of_a_through_wire():
+def test_swap_erased_key_keeps_wires_from_boundary_to_boundary():
     """Open compiles that pass an N wire and an S wire from the input to the
-    output boundary are different morphisms with different keys."""
+    output boundary are different morphisms with different keys, and so are
+    a Swap of two such wires and two Ids side by side."""
     n_through, s_through = (
         swap_erased_key(proof_to_diagram(prove(parse_sequent(t, ATOMS)).proofs[0], None))
         for t in ("np/n, n -> np", "s/np, np -> s")
     )
     assert n_through != s_through
+    n = NWire()
+    swap = Diagram((Swap((n,), (n,)),), (), ((0, 0), (0, 1)), ((0, 0), (0, 1)))
+    ids = Diagram((Id(n), Id(n)), (), ((0, 0), (1, 0)), ((0, 0), (1, 0)))
+    crossed = Diagram((Id(n), Id(n)), (), ((0, 0), (1, 0)), ((1, 0), (0, 0)))
+    assert typecheck(swap)
+    assert swap_erased_key(swap) == swap_erased_key(crossed) != swap_erased_key(ids)
 
 
 @pytest.mark.parametrize(
