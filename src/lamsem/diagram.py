@@ -992,7 +992,7 @@ _RULES = (
     ((Cup, Counit), _rewrite_s_erasure),
     (Id, _rewrite_id),
 )
-_ID_RULES = _RULES[-1:]
+_ID_RULES = ((Id, _rewrite_id),)
 
 # Called with one dict of rewrite counts per ``substitute_wirings`` call while
 # set (``lamsem … --trace`` prints them); None, the default, costs one lookup.
