@@ -1,0 +1,86 @@
+"""Invariants of the whole pipeline over a fixed corpus of sentences.
+
+These checks do not pin which proofs the search returns, only what stays
+true whatever it returns: every proof checks and compiles, wiring
+substitution is idempotent, diagrams round-trip through JSON, and each
+sentence keeps its number of readings (``swap_erased_key`` classes of its
+substituted diagrams), which belongs to the grammar, not to the search.
+"""
+from __future__ import annotations
+
+import pytest
+
+from lamsem import (
+    SearchConfig,
+    check_proof_report,
+    diagram_from_json,
+    export,
+    proof_to_diagram,
+    prove,
+    sentence_to_sequents,
+    substitute_wirings,
+    swap_erased_key,
+    typecheck,
+)
+from lamsem.formula import parse_formula
+from lamsem.prover import proof_to_text
+
+from conftest import DONKEY
+
+# (sentence, goal, readings)
+CORPUS = (
+    ("dogs eat snacks", "s", 1),
+    ("every dog eats snacks", "s", 1),
+    ("some dog eats snacks", "s", 1),
+    ("a dog eats snacks", "s", 1),
+    ("john sleeps he snores", "s.s", 1),
+    (DONKEY, "s", 1),
+    ("a farmer who owns a donkey beats it", "s", 1),
+    ("some farmer who owns a donkey beats it", "s", 1),
+    ("dogs who eat snacks", "np", 1),
+    ("a farmer owns a donkey", "s", 2),
+    ("every farmer owns a donkey", "s", 1),
+    ("john owns a donkey", "s", 1),
+    ("john beats a donkey", "s", 1),
+    ("every farmer beats john", "s", 1),
+    ("john sleeps", "s", 1),
+    ("every farmer who beats john sleeps", "s", 1),
+    ("john owns a donkey he beats it", "s.s", 1),
+    ("every dog who eats snacks sleeps", "s", 1),
+)
+# a pronoun takes a copy of its referent, so it needs k >= 2
+PRONOUN_WORDS = {"he", "it"}
+
+
+def _first_proofs(lexicon, words, goal, k):
+    """The proofs of the first provable sequent reading, or ()."""
+    goal_f = parse_formula(goal, lexicon.atoms)
+    for seq in sentence_to_sequents(words, lexicon, goal_f):
+        result = prove(seq, SearchConfig(k=k))
+        if result.proofs:
+            return result.proofs
+    return ()
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize(
+    "sentence,goal,readings", CORPUS, ids=[s for s, _, _ in CORPUS]
+)
+def test_corpus_invariants(lexicon, sentence, goal, readings, k):
+    words = sentence.split()
+    proofs = _first_proofs(lexicon, words, goal, k)
+    if k == 1 and PRONOUN_WORDS & set(words):
+        assert not proofs
+        return
+    assert proofs
+    keys = set()
+    for p in proofs:
+        assert check_proof_report(p, k=k) is None, proof_to_text(p)
+        raw = proof_to_diagram(p, lexicon, words=words)
+        assert typecheck(raw)
+        sub = substitute_wirings(raw, lexicon)
+        assert substitute_wirings(sub, lexicon) == sub
+        for d in (raw, sub):
+            assert diagram_from_json(export(d, "json"), lexicon.atoms) == d
+        keys.add(swap_erased_key(sub))
+    assert len(keys) == readings
