@@ -12,18 +12,11 @@ from importlib import resources
 from pathlib import Path
 
 from .checker import check_proof_report
-from .diagram import (
-    REWRITE_TRACE,
-    export,
-    proof_to_diagram,
-    substitute_wirings,
-    swap_erased_key,
-)
+from .diagram import export, proof_to_diagram, substitute_wirings, swap_erased_key
 from .formula import FormulaSyntaxError, format_sequent, parse_formula
 from .lexicon import Lexicon, LexiconError, sentence_to_sequents
 from .model import Model, ModelError
-from .planner import STEP_TRACE
-from .prover import SEARCH_TRACE, SearchConfig, prove, proof_to_json, proof_to_text
+from .prover import TRACE, SearchConfig, prove, proof_to_json, proof_to_text
 from .relsem import MAX_K, SemanticsError, eval_diagram_rel
 from .vecsem import check_equivalence, eval_diagram_vec
 
@@ -211,10 +204,7 @@ def _print_trace(record: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    emit = _print_trace if args.trace else None
-    search_trace = SEARCH_TRACE.set(emit)
-    rewrite_trace = REWRITE_TRACE.set(emit)
-    step_trace = STEP_TRACE.set(emit)
+    token = TRACE.set(_print_trace if args.trace else None)
     try:
         if not 1 <= args.k <= MAX_K:
             raise CliError(f"copy bound k must be in 1..{MAX_K}")
@@ -231,9 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        STEP_TRACE.reset(step_trace)
-        REWRITE_TRACE.reset(rewrite_trace)
-        SEARCH_TRACE.reset(search_trace)
+        TRACE.reset(token)
 
 
 if __name__ == "__main__":

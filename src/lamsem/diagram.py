@@ -21,10 +21,10 @@ pass.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .formula import (
     Atom,
@@ -57,6 +57,7 @@ from .prover import (
     ProofTree,
     TENSOR_L,
     TENSOR_R,
+    TRACE,
     UNDER_L,
     UNDER_R,
 )
@@ -241,42 +242,48 @@ class DetBox(Generator):
 
 
 @dataclass(frozen=True)
-class Cup(Generator):
-    wtype: WireType
+class _Spider(Generator):
+    """A generator whose ports all carry copies of one wire type; each kind
+    gives only its (inputs, outputs) arity."""
+
+    wtype: WireType = NWire()
+    arity: ClassVar[tuple[int, int]]
 
     @property
     def ins(self) -> tuple[WireType, ...]:
-        return (self.wtype, self.wtype)
+        return (self.wtype,) * self.arity[0]
 
     @property
     def outs(self) -> tuple[WireType, ...]:
-        return ()
+        return (self.wtype,) * self.arity[1]
 
 
-@dataclass(frozen=True)
-class Cap(Generator):
-    wtype: WireType
-
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return ()
-
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return (self.wtype, self.wtype)
+class Cup(_Spider):
+    arity = (2, 0)
 
 
-@dataclass(frozen=True)
-class Id(Generator):
-    wtype: WireType
+class Cap(_Spider):
+    arity = (0, 2)
 
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
 
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
+class Id(_Spider):
+    arity = (1, 1)
+
+
+class Mult(_Spider):
+    arity = (2, 1)
+
+
+class Unit(_Spider):
+    arity = (0, 1)
+
+
+class Comult(_Spider):
+    arity = (1, 2)
+
+
+class Counit(_Spider):
+    arity = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -299,58 +306,6 @@ class Swap(Generator):
         if in_port < len(self.a):
             return len(self.b) + in_port
         return in_port - len(self.a)
-
-
-@dataclass(frozen=True)
-class Mult(Generator):
-    wtype: WireType = field(default_factory=NWire)
-
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return (self.wtype, self.wtype)
-
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
-
-
-@dataclass(frozen=True)
-class Unit(Generator):
-    wtype: WireType = field(default_factory=NWire)
-
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return ()
-
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
-
-
-@dataclass(frozen=True)
-class Comult(Generator):
-    wtype: WireType = field(default_factory=NWire)
-
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
-
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return (self.wtype, self.wtype)
-
-
-@dataclass(frozen=True)
-class Counit(Generator):
-    wtype: WireType = field(default_factory=NWire)
-
-    @property
-    def ins(self) -> tuple[WireType, ...]:
-        return (self.wtype,)
-
-    @property
-    def outs(self) -> tuple[WireType, ...]:
-        return ()
 
 
 @dataclass(frozen=True)
@@ -381,7 +336,7 @@ class Proj(Generator):
 class FockLift(Generator):
     """Fock functor applied to the morphism denoted by an inner diagram."""
 
-    inner: "Diagram"
+    inner: Diagram
 
     @property
     def ins(self) -> tuple[WireType, ...]:
@@ -994,12 +949,6 @@ _RULES = (
 )
 _ID_RULES = ((Id, _rewrite_id),)
 
-# Called with one dict of rewrite counts per ``substitute_wirings`` call while
-# set (``lamsem … --trace`` prints them); None, the default, costs one lookup.
-REWRITE_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
-    "REWRITE_TRACE", default=None
-)
-
 
 def _rewrite_once(mut: _Mut, lex: Optional[Lexicon], rules=_RULES) -> Optional[Callable]:
     """Fire the first rule of `rules` that matches, at the lowest node id;
@@ -1069,42 +1018,32 @@ def _reinsert_swaps(mut: _Mut) -> None:
             elif t == v:
                 tracked[k] = (sw, 0)
 
-    def candidates(req: Port, taken: list[int]) -> list[int]:
-        src_gen = mut.gens[req[0]]
-        if isinstance(src_gen, _EXCHANGEABLE_OUTS):
-            return [
-                i
-                for i, t in enumerate(frontier)
-                if origin[t][0] == req[0] and i not in taken
-            ]
-        return [i for i, t in enumerate(frontier) if origin[t] == req and i not in taken]
+    def candidates(req: Port) -> list[int]:
+        if isinstance(mut.gens[req[0]], _EXCHANGEABLE_OUTS):
+            return [i for i, t in enumerate(frontier) if origin[t][0] == req[0]]
+        return [i for i, t in enumerate(frontier) if origin[t] == req]
 
     def plan(n: int) -> Optional[tuple[int, list[int]]]:
-        """(cost in elementary swaps, chosen frontier position per in-port)."""
+        """(cost in elementary swaps, chosen frontier position per in-port).
+
+        Every node placed here has one or two inputs, which take distinct
+        positions.  Bringing them together costs max - min + 1 - m
+        crossings, plus one to uncross a reversed pair whose inputs do not
+        commute; ties go to the leftmost positions.
+        """
         gen = mut.gens[n]
         m = len(gen.ins)
-        reqs = [orig_src[(n, ip)] for ip in range(m)]
-        if m == 1:
-            cands = candidates(reqs[0], [])
-            return (0, [min(cands)]) if cands else None
-        if m == 2:
-            best = None
-            for i in candidates(reqs[0], []):
-                for j in candidates(reqs[1], [i]):
-                    cost = abs(i - j) - 1
-                    if i > j and not isinstance(gen, _SYMMETRIC_INS):
-                        cost += 1
-                    key = (cost, min(i, j), max(i, j))
-                    if best is None or key < best[0]:
-                        best = (key, [i, j])
-            return (best[0][0], best[1]) if best else None
-        chosen: list[int] = []
-        for r in reqs:
-            cands = candidates(r, chosen)
-            if not cands:
-                return None
-            chosen.append(min(cands))
-        return (max(chosen) - min(chosen) + 1 - m, chosen)
+        best = None
+        for pos in itertools.product(*(candidates(orig_src[(n, ip)]) for ip in range(m))):
+            if len(set(pos)) < m:
+                continue
+            lo, hi = min(pos), max(pos)
+            cost = hi - lo + 1 - m
+            if list(pos) != sorted(pos) and not isinstance(gen, _SYMMETRIC_INS):
+                cost += 1
+            if best is None or (cost, lo, hi) < best[0]:
+                best = ((cost, lo, hi), list(pos))
+        return (best[0][0], best[1]) if best else None
 
     def execute(n: int, pos: list[int]) -> None:
         gen = mut.gens[n]
@@ -1177,7 +1116,7 @@ def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:
     report = typecheck_report(out)
     if report is not None:
         raise DiagramError(f"wiring substitution broke the diagram: {report}")
-    trace = REWRITE_TRACE.get()
+    trace = TRACE.get()
     if trace is not None:
         trace({
             "rewrites": {
@@ -1235,60 +1174,26 @@ def swap_erased_key(d: Diagram):
 
 
 def _gen_to_dict(gen: Generator) -> dict:
-    if isinstance(gen, State):
-        return {
-            "kind": "State",
-            "word": gen.word,
-            "formula": format_formula(gen.formula),
-        }
-    if isinstance(gen, DetBox):
-        return {
-            "kind": "DetBox",
-            "word": gen.word,
-            "formula": format_formula(gen.formula),
-        }
-    if isinstance(gen, Swap):
-        return {
-            "kind": "Swap",
-            "a": [wtype_to_str(w) for w in gen.a],
-            "b": [wtype_to_str(w) for w in gen.b],
-        }
-    if isinstance(gen, Proj):
-        return {"kind": "Proj", "n": gen.n, "inner": wtype_to_str(gen.inner)}
-    if isinstance(gen, FockLift):
-        return {"kind": "FockLift", "inner": _diagram_to_dict(gen.inner)}
-    if isinstance(gen, (Cup, Cap, Id, Mult, Unit, Comult, Counit)):
-        return {"kind": type(gen).__name__, "wtype": wtype_to_str(gen.wtype)}
-    raise DiagramError(f"cannot serialize generator {gen!r}")
+    """The generator's kind and each of its fields, written by the codec of
+    the field's annotation."""
+    out = {"kind": type(gen).__name__}
+    for f in fields(gen):
+        out[f.name] = _CODECS[f.type][0](getattr(gen, f.name))
+    return out
 
 
-def _gen_from_dict(d: dict, atoms) -> Generator:
-    kind = d["kind"]
-    if kind == "State":
-        return State(d["word"], parse_formula(d["formula"], atoms))
-    if kind == "DetBox":
-        return DetBox(d["word"], parse_formula(d["formula"], atoms))
-    if kind == "Swap":
-        return Swap(
-            tuple(wtype_from_str(w) for w in d["a"]),
-            tuple(wtype_from_str(w) for w in d["b"]),
-        )
-    if kind == "Proj":
-        return Proj(d["n"], wtype_from_str(d["inner"]))
-    if kind == "FockLift":
-        return FockLift(_diagram_from_dict(d["inner"], atoms))
-    simple = {
-        "Cup": Cup,
-        "Cap": Cap,
-        "Id": Id,
-        "Mult": Mult,
-        "Unit": Unit,
-        "Comult": Comult,
-        "Counit": Counit,
-    }
-    if kind in simple:
-        return simple[kind](wtype_from_str(d["wtype"]))
-    raise DiagramError(f"unknown generator kind {kind!r}")
+def _gen_from_dict(data: dict, atoms) -> Generator:
+    if data["kind"] not in _KINDS:
+        raise DiagramError(f"unknown generator kind {data['kind']!r}")
+    cls, cls_fields = _KINDS[data["kind"]]
+    return cls(*(_CODECS[f.type][1](data[f.name], atoms) for f in cls_fields))
+
+
+def _checked(kind: type, *values) -> tuple:
+    """`values`, each of exactly type `kind` (so no bool for an int)."""
+    if set(map(type, values)) != {kind}:
+        raise DiagramError(f"expected {kind.__name__} values, got {values!r}")
+    return values
 
 
 def _diagram_to_dict(d: Diagram) -> dict:
@@ -1310,19 +1215,39 @@ def _diagram_to_dict(d: Diagram) -> dict:
 def _diagram_from_dict(data: dict, atoms) -> Diagram:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DiagramError(f"unsupported schema version {data.get('schema_version')!r}")
-    nodes = [None] * len(data["nodes"])
-    for item in data["nodes"]:
-        nodes[item["id"]] = _gen_from_dict(item["gen"], atoms)
+    items = sorted(data["nodes"], key=lambda item: item["id"])
+    if [item["id"] for item in items] != list(range(len(items))):
+        raise DiagramError("node ids must be 0, 1, ... with each id once")
     edges = tuple(
-        Edge(e["src"], e["src_port"], e["dst"], e["dst_port"]) for e in data["edges"]
+        Edge(*_checked(int, e["src"], e["src_port"], e["dst"], e["dst_port"]))
+        for e in data["edges"]
     )
     return Diagram(
-        nodes=tuple(nodes),
+        nodes=tuple(_gen_from_dict(item["gen"], atoms) for item in items),
         edges=edges,
-        inputs=tuple((n, p) for n, p in data["inputs"]),
-        outputs=tuple((n, p) for n, p in data["outputs"]),
-        discarded=frozenset((n, p) for n, p in data["discarded"]),
+        inputs=tuple(_checked(int, n, p) for n, p in data["inputs"]),
+        outputs=tuple(_checked(int, n, p) for n, p in data["outputs"]),
+        discarded=frozenset(_checked(int, n, p) for n, p in data["discarded"]),
     )
+
+
+# kind name -> (class, its fields)
+_KINDS = {
+    cls.__name__: (cls, fields(cls))
+    for cls in (State, DetBox, Cup, Cap, Id, Swap, Mult, Unit, Comult, Counit, Proj, FockLift)
+}
+# field annotation -> (to JSON, from JSON given the atoms)
+_CODECS = {
+    "str": (str, lambda value, atoms: _checked(str, value)[0]),
+    "int": (int, lambda value, atoms: _checked(int, value)[0]),
+    "Formula": (format_formula, parse_formula),
+    "WireType": (wtype_to_str, lambda text, atoms: wtype_from_str(text)),
+    "tuple[WireType, ...]": (
+        lambda ws: [wtype_to_str(w) for w in ws],
+        lambda texts, atoms: tuple(wtype_from_str(t) for t in _checked(list, texts)[0]),
+    ),
+    "Diagram": (_diagram_to_dict, _diagram_from_dict),
+}
 
 
 def export(d: Diagram, fmt: str) -> str:
@@ -1359,4 +1284,10 @@ def export(d: Diagram, fmt: str) -> str:
 
 
 def diagram_from_json(text: str, atoms: frozenset[str] = DEFAULT_ATOMS) -> Diagram:
-    return _diagram_from_dict(json.loads(text), atoms)
+    """The diagram `export(d, "json")` wrote; DiagramError if `text` is not one."""
+    try:
+        return _diagram_from_dict(json.loads(text), atoms)
+    except DiagramError:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise DiagramError(f"malformed diagram JSON: {exc!r}") from exc

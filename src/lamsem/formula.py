@@ -275,15 +275,6 @@ def strip_nabla(f: Formula) -> Formula:
     return f
 
 
-def formula_size(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, (Bang, Nabla)):
-        return 1 + formula_size(f.inner)
-    assert isinstance(f, (Under, Over, Tensor))
-    return 1 + formula_size(f.left) + formula_size(f.right)
-
-
 _Intervals = dict[str, tuple[int, int]]
 
 

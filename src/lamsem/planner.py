@@ -17,13 +17,13 @@ steps by upper bounds on the entries they build and output, given per
 generator by the caller; their maximum is checked against the cell budget
 before anything is built.  A plan reads the model only through carrier sizes
 and those bounds, so relsem caches one per (diagram, |U|, k) and runs it on
-every model.  While :data:`STEP_TRACE` holds a callable, each contraction
-step reports its slots, how each side is built and its entry counts to it.
+every model.  While the one trace channel :data:`lamsem.prover.TRACE` holds
+a callable, each contraction step reports its slots, how each side is built
+and its entry counts to it.
 """
 from __future__ import annotations
 
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
@@ -39,6 +39,7 @@ from .diagram import (
     Swap,
     WireType,
 )
+from .prover import TRACE
 
 DEFAULT_CELL_BUDGET = 10**7
 
@@ -142,12 +143,6 @@ def extract_network(d: Diagram) -> Network:
 
 
 Getter = Callable[[tuple], tuple]
-
-# Called with one dict per contraction step while set (``lamsem eval --trace``
-# prints them); None, the default, costs one lookup per contraction.
-STEP_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
-    "STEP_TRACE", default=None
-)
 
 
 def _getter(pos: Sequence[int]) -> Getter:
@@ -343,7 +338,7 @@ def contract_network(
         entries = dict.fromkeys(relation_of(net.tensors[slot], carried), 1)
         return entries if leaf is None else _sum_by(entries, leaf[1], leaf[0])
 
-    trace = STEP_TRACE.get()
+    trace = TRACE.get()
     slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
     for n, step in enumerate(plan.steps):
         s1, s2, shared1, shared2, keep1, keep2, carried1, builds = step

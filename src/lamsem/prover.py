@@ -209,11 +209,11 @@ def _wrap_perms(
     return tree
 
 
-# Called with one dict of search counters per ``prove`` call while set
-# (``lamsem … --trace`` prints them); None, the default, costs one lookup.
-SEARCH_TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar(
-    "SEARCH_TRACE", default=None
-)
+# The one trace channel: while set, it is called with one dict of search
+# counters per ``prove`` call, one of rewrite counts per
+# ``diagram.substitute_wirings`` call and one per ``planner`` contraction step
+# (``lamsem … --trace`` prints them).  None, the default, costs one lookup.
+TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar("TRACE", default=None)
 
 
 class _Searcher:
@@ -372,7 +372,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     raw, exhaustive = searcher.search(seq, cfg.depth_limit)
     unique = _distinct(raw)
     unique.sort(key=proof_to_text)
-    trace = SEARCH_TRACE.get()
+    trace = TRACE.get()
     if trace is not None:
         trace({
             "search": format_sequent(seq),

@@ -8,9 +8,7 @@ from conftest import DONKEY, data_path
 
 from lamsem import SearchConfig, diagram_from_json, proof_from_json
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
-from lamsem.diagram import REWRITE_TRACE
-from lamsem.planner import STEP_TRACE
-from lamsem.prover import SEARCH_TRACE
+from lamsem.prover import TRACE
 
 
 def run(capsys, *argv):
@@ -181,7 +179,7 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     code, out, err = run(capsys, *argv)
     traced_code, traced_out, traced_err = run(capsys, *argv, "--trace")
     assert (traced_code, traced_out) == (code, out) and err == ""
-    assert STEP_TRACE.get() is None  # reset when main returns
+    assert TRACE.get() is None  # reset when main returns
     records = [json.loads(line) for line in traced_err.splitlines()]
     steps = [r for r in records if "step" in r]
     searches = [r for r in records if "search" in r]
@@ -216,7 +214,7 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
     code, out, err = run(capsys, command, sentence)
     traced_code, traced_out, traced_err = run(capsys, command, sentence, "--trace")
     assert (traced_code, traced_out) == (code, out)
-    assert SEARCH_TRACE.get() is None  # reset when main returns
+    assert TRACE.get() is None  # reset when main returns
     # the traced stderr is the search lines, then (diagram) the rewrite
     # lines, then the plain run's stderr
     lines = traced_err.splitlines()
@@ -253,7 +251,7 @@ def test_diagram_trace_prints_rewrite_counts(capsys, sentence, fired):
     code, out, err = run(capsys, "diagram", sentence)
     traced_code, traced_out, traced_err = run(capsys, "diagram", sentence, "--trace")
     assert (traced_code, traced_out, err) == (code, out, "")
-    assert REWRITE_TRACE.get() is None  # reset when main returns
+    assert TRACE.get() is None  # reset when main returns
     records = [json.loads(line) for line in traced_err.splitlines()]
     rewrites = [r["rewrites"] for r in records if "rewrites" in r]
     # one line per wiring substitution: one per proof returned

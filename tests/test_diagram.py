@@ -318,6 +318,50 @@ def test_json_round_trip_preserves_discards(lexicon):
     assert diagram_from_json(export(raw, "json")) == raw
 
 
+def _gen_of_kind(data: dict, kind: str) -> dict:
+    return next(item["gen"] for item in data["nodes"] if item["gen"]["kind"] == kind)
+
+
+def _malformed(data: dict, case: str):
+    """A copy of diagram JSON `data` broken in the way `case` names."""
+    data = json.loads(json.dumps(data))
+    if case == "list at the top level":
+        return [data]
+    if case == "no edges":
+        del data["edges"]
+    elif case == "generator without wtype":
+        del _gen_of_kind(data, "Cup")["wtype"]
+    elif case == "node id past the last node":
+        data.update(nodes=[{"id": 5, "gen": {"kind": "Unit", "wtype": "N"}}], edges=[])
+        data.update(inputs=[], outputs=[[0, 0]], discarded=[])
+    elif case == "arity given as a string":
+        proj = _gen_of_kind(data, "Proj")
+        proj["n"] = str(proj["n"])
+    elif case == "two nodes with one id":
+        data["nodes"][0]["id"] = data["nodes"][1]["id"]
+    elif case == "edge port given as a string":
+        data["edges"][0]["src_port"] = str(data["edges"][0]["src_port"])
+    return data
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "list at the top level",
+        "no edges",
+        "generator without wtype",
+        "node id past the last node",
+        "arity given as a string",
+        "two nodes with one id",
+        "edge port given as a string",
+    ],
+)
+def test_diagram_from_json_rejects_malformed_input(lexicon, case):
+    data = json.loads(export(sentence_diagram(lexicon, DONKEY), "json"))
+    with pytest.raises(DiagramError):
+        diagram_from_json(json.dumps(_malformed(data, case)))
+
+
 def test_dot_export_mentions_words_and_wires(lexicon):
     d = sentence_diagram(lexicon, "dogs eat snacks")
     dot = export(d, "dot")

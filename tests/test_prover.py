@@ -355,13 +355,13 @@ def test_each_sequent_is_count_checked_once():
         return False
 
     traced = []
-    token = prover.SEARCH_TRACE.set(traced.append)
+    token = prover.TRACE.set(traced.append)
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prover, "count_excludes_zero", counting)
             result = prove(seq, cfg)
     finally:
-        prover.SEARCH_TRACE.reset(token)
+        prover.TRACE.reset(token)
     assert checked and max(checked.values()) == 1
     assert traced[0]["pruned"] == len(excluded) > 0
     assert [proof_to_text(p) for p in result] == [proof_to_text(p) for p in prove(seq, cfg)]

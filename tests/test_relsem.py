@@ -44,7 +44,7 @@ from lamsem.diagram import (
     export,
 )
 from lamsem.formula import parse_formula
-from lamsem.planner import STEP_TRACE
+from lamsem.prover import TRACE
 from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
 
 ATOMS = ("np", "n", "s")
@@ -650,9 +650,9 @@ def test_default_budget_evaluates_the_donkey_up_to_six_entities(lexicon, k):
         assert bound <= relsem.DEFAULT_CELL_BUDGET
         m = random_donkey_model(rng, size)
         seen = []
-        token = STEP_TRACE.set(lambda r: seen.extend(r["entries_in"] + [r["entries_out"]]))
+        token = TRACE.set(lambda r: seen.extend(r["entries_in"] + [r["entries_out"]]))
         try:
             assert rel_true(eval_diagram_rel(d, m, k)) == donkey_oracle(m)
         finally:
-            STEP_TRACE.reset(token)
+            TRACE.reset(token)
         assert 0 < max(seen) <= bound
