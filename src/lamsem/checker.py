@@ -14,7 +14,6 @@ from .formula import (
     Tensor,
     Under,
     format_sequent,
-    is_nabla_rooted,
 )
 from .prover import (
     AXIOM,
@@ -157,7 +156,7 @@ def verify_proof(t: ProofTree, k: int = 2) -> None:
             raise fail("permutation may not change the succedent")
         if not (0 <= src < len(p_ant)):
             raise fail("source position out of range")
-        if not is_nabla_rooted(p_ant[src]):
+        if not isinstance(p_ant[src], Nabla):
             raise fail("only @-formulas may be permuted")
         moved = list(p_ant)
         item = moved.pop(src)

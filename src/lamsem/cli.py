@@ -163,7 +163,7 @@ def cmd_eval(args) -> int:
                 truth = scalar != 0
             parts.append(f"vec: {scalar}")
         if args.backend == "both":
-            parts.append(f"equivalent: {check_equivalence(d, model, args.k)}")
+            parts.append(f"equivalent: {check_equivalence(rel, scalar)}")
         any_true = any_true or bool(truth)
         print(f"reading {i + 1}: " + ", ".join(parts))
     print(f"any-true: {'true' if any_true else 'false'}")

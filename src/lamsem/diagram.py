@@ -970,11 +970,12 @@ def _reinsert_swaps(mut: _Mut) -> None:
     """Rebuild the wire crossings of a swap-free graph as explicit Swaps.
 
     Nodes are laid out left to right starting from the source row (word
-    states in sentence order) and scheduled greedily; whenever a node's
-    input wires are not adjacent, the intervening wires are crossed over
-    with elementary Swap nodes.  Cup and Mult inputs commute, and the legs
-    of a Proj or Cap are interchangeable, so the scheduler is free to
-    rebind those edges instead of crossing wires.
+    states in sentence order) and scheduled greedily.  Every node placed
+    after the source row has one or two inputs; when a node's two input
+    wires are not adjacent, the right one is crossed leftwards over the
+    wires between them with elementary Swap nodes.  Cup and Mult inputs
+    commute, and the legs of a Proj or Cap are interchangeable, so the
+    scheduler is free to rebind those edges instead of crossing wires.
     """
     if mut.inputs:
         raise DiagramError("cannot normalize a diagram with boundary inputs")
@@ -982,116 +983,80 @@ def _reinsert_swaps(mut: _Mut) -> None:
     pending = set(mut.gens)
     frontier: list[Port] = []  # open wires (physical out ports), left to right
     origin: dict[Port, Port] = {}  # physical port -> pre-swap producer port
-    wtypes: dict[Port, WireType] = {}
 
     def emit(nid: int, pos: int) -> None:
-        gen = mut.gens[nid]
-        toks = []
-        for op in range(len(gen.outs)):
-            q = (nid, op)
-            if q in mut.discarded or q in mut.outputs:
-                continue  # boundary wires run straight down, crossing nothing
-            toks.append(q)
-            origin[q] = q
-            wtypes[q] = gen.outs[op]
+        outs = [(nid, op) for op in range(len(mut.gens[nid].outs))]
+        # boundary wires run straight down, crossing nothing
+        toks = [q for q in outs if q not in mut.discarded and q not in mut.outputs]
+        origin.update(zip(toks, toks))
         frontier[pos:pos] = toks
         pending.discard(nid)
 
-    def transpose_at(i: int, tracked: list[Port]) -> None:
+    def cross(i: int) -> None:
         """Cross frontier wires i and i+1 with a fresh Swap node."""
         u, v = frontier[i], frontier[i + 1]
-        sw = mut.add(Swap((wtypes[u],), (wtypes[v],)))
+        sw = mut.add(Swap((mut.gens[u[0]].outs[u[1]],), (mut.gens[v[0]].outs[v[1]],)))
         for tok, ip in ((u, 0), (v, 1)):
-            dst = mut.dst_of.get(tok)
-            if dst is not None:
-                mut.disconnect(tok)
-            mut.connect(tok, (sw, ip))
             out = (sw, 1 - ip)  # a 1x1 swap sends input p out at port 1-p
-            if dst is not None:
-                mut.connect(out, dst)
+            if tok in mut.dst_of:
+                mut.rewire_out(tok, out)
+            mut.connect(tok, (sw, ip))
             origin[out] = origin[tok]
-            wtypes[out] = wtypes[tok]
         frontier[i], frontier[i + 1] = (sw, 0), (sw, 1)
-        for k, t in enumerate(tracked):
-            if t == u:
-                tracked[k] = (sw, 1)
-            elif t == v:
-                tracked[k] = (sw, 0)
 
-    def candidates(req: Port) -> list[int]:
-        if isinstance(mut.gens[req[0]], _EXCHANGEABLE_OUTS):
-            return [i for i, t in enumerate(frontier) if origin[t][0] == req[0]]
-        return [i for i, t in enumerate(frontier) if origin[t] == req]
+    def plan(n: int) -> Optional[tuple[int, int, int, bool]]:
+        """The cheapest placement of node n as (crossings, lo, hi, flip), or
+        None while an input wire is not on the frontier.
 
-    def plan(n: int) -> Optional[tuple[int, list[int]]]:
-        """(cost in elementary swaps, chosen frontier position per in-port).
-
-        Every node placed here has one or two inputs, which take distinct
-        positions.  Bringing them together costs max - min + 1 - m
-        crossings, plus one to uncross a reversed pair whose inputs do not
-        commute; ties go to the leftmost positions.
+        Its inputs take distinct frontier positions lo <= hi.  Bringing them
+        together costs hi - lo + 1 - m crossings, plus one (`flip`) to
+        uncross a reversed pair whose inputs do not commute; ties go to the
+        leftmost positions.
         """
         gen = mut.gens[n]
-        m = len(gen.ins)
-        best = None
-        for pos in itertools.product(*(candidates(orig_src[(n, ip)]) for ip in range(m))):
-            if len(set(pos)) < m:
-                continue
-            lo, hi = min(pos), max(pos)
-            cost = hi - lo + 1 - m
-            if list(pos) != sorted(pos) and not isinstance(gen, _SYMMETRIC_INS):
-                cost += 1
-            if best is None or (cost, lo, hi) < best[0]:
-                best = ((cost, lo, hi), list(pos))
-        return (best[0][0], best[1]) if best else None
+        cands = []
+        for ip in range(len(gen.ins)):
+            req = orig_src[(n, ip)]
+            if isinstance(mut.gens[req[0]], _EXCHANGEABLE_OUTS):
+                cands.append([i for i, t in enumerate(frontier) if origin[t][0] == req[0]])
+            else:
+                cands.append([i for i, t in enumerate(frontier) if origin[t] == req])
+        options = []
+        for pos in itertools.product(*cands):
+            if len(set(pos)) == len(pos):
+                lo, hi = min(pos), max(pos)
+                flip = pos[0] > pos[-1] and not isinstance(gen, _SYMMETRIC_INS)
+                options.append((hi - lo + 1 - len(pos) + flip, lo, hi, flip))
+        return min(options, default=None)
 
-    def execute(n: int, pos: list[int]) -> None:
-        gen = mut.gens[n]
-        toks = [frontier[p] for p in pos]
-
-        def idx(t: Port) -> int:
-            return frontier.index(t)
-
-        # bring the chosen wires together with elementary crossings
-        while True:
-            ids = sorted(idx(t) for t in toks)
-            gap = next((j for j in range(len(ids) - 1) if ids[j + 1] != ids[j] + 1), None)
-            if gap is None:
-                break
-            transpose_at(ids[gap + 1] - 1, toks)
-        if isinstance(gen, _SYMMETRIC_INS):
-            toks.sort(key=idx)  # commuting legs: bind in current wire order
-        while True:
-            block = sorted(idx(t) for t in toks)
-            cur = [frontier[i] for i in block]
-            if cur == toks:
-                break
-            j = next(j for j in range(len(toks)) if cur[j] != toks[j])
-            transpose_at(block[cur.index(toks[j]) - 1], toks)
-        start = min(idx(t) for t in toks)
-        for ip, t in enumerate(toks):
+    def place(n: int, lo: int, hi: int, flip: bool) -> None:
+        """Cross the wire at hi leftwards to lo + 1, uncross the pair if
+        `flip`, and bind input ip to the wire at lo + ip."""
+        for i in range(hi - 1, lo, -1):
+            cross(i)
+        if flip:
+            cross(lo)
+        m = len(mut.gens[n].ins)
+        for ip, t in enumerate(frontier[lo : lo + m]):
             old = mut.src_of.get((n, ip))
             if old is not None:
                 mut.disconnect(old)
             if t in mut.dst_of:
                 mut.disconnect(t)
             mut.connect(t, (n, ip))
-        for t in toks:
-            frontier.remove(t)
-        emit(n, start)
+        del frontier[lo : lo + m]
+        emit(n, lo)
 
     for n in sorted(pending):
         if not mut.gens[n].ins:
             emit(n, len(frontier))
     while pending:
-        best = None
-        for n in sorted(pending):
-            p = plan(n)
-            if p is not None and (best is None or p[0] < best[0][0]):
-                best = (p, n)
-        if best is None:
+        # fewest crossings first, then the lowest node id
+        options = [(p[0], n, p) for n in pending if (p := plan(n)) is not None]
+        if not options:
             raise DiagramError("diagram contains a cycle")
-        execute(best[1], best[0][1])
+        _, n, (_, lo, hi, flip) = min(options)
+        place(n, lo, hi, flip)
 
 
 def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:

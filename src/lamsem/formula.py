@@ -257,10 +257,6 @@ def parse_sequent(text: str, atoms: frozenset[str] = DEFAULT_ATOMS) -> Sequent:
 # ---------------------------------------------------------------- helpers
 
 
-def is_nabla_rooted(f: Formula) -> bool:
-    return isinstance(f, Nabla)
-
-
 def matrix(f: Formula) -> Formula:
     """Strip any outer modalities."""
     while isinstance(f, (Bang, Nabla)):

@@ -31,7 +31,6 @@ from .formula import (
     count_excludes_zero,
     format_formula,
     format_sequent,
-    is_nabla_rooted,
     parse_formula,
     parse_sequent,
 )
@@ -97,13 +96,12 @@ class ProofTree:
 class SearchConfig:
     k: int = 2
     depth_limit: int = 64
-    max_proofs: int = 8
-    enumerate_all: bool = False
+    max_proofs: int | None = 8  # None: every unique proof
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("copy bound k must be >= 1")
-        if self.depth_limit < 1 or self.max_proofs < 1:
+        if self.depth_limit < 1 or (self.max_proofs is not None and self.max_proofs < 1):
             raise ValueError("depth_limit and max_proofs must be >= 1")
 
 
@@ -134,8 +132,8 @@ class SearchResult:
 
 def perm_normalize(s: Sequent) -> Sequent:
     """Canonical placement: movable formulas sorted to the leftmost positions."""
-    movable = [f for f in s.antecedent if is_nabla_rooted(f)]
-    rest = [f for f in s.antecedent if not is_nabla_rooted(f)]
+    movable = [f for f in s.antecedent if isinstance(f, Nabla)]
+    rest = [f for f in s.antecedent if not isinstance(f, Nabla)]
     movable.sort(key=format_formula)
     return Sequent(tuple(movable + rest), s.succedent)
 
@@ -149,7 +147,7 @@ def _movable_arrangements(
     where the formula at position dst in the previous arrangement is read as
     having been moved there from position src in the next one up the proof.
     """
-    idx = [i for i, f in enumerate(ant) if is_nabla_rooted(f)]
+    idx = [i for i, f in enumerate(ant) if isinstance(f, Nabla)]
     if not idx:
         yield ant, []
         return
@@ -365,8 +363,8 @@ def _distinct(raw: tuple[ProofTree, ...]) -> list[ProofTree]:
 def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward search for cut-free proofs of `seq`.
 
-    Returns up to ``cfg.max_proofs`` proofs, deduplicated up to Perm-node
-    placement and sorted canonically (all of them under ``enumerate_all``).
+    Returns up to ``cfg.max_proofs`` proofs (every one if it is None),
+    deduplicated up to Perm-node placement and sorted canonically.
     """
     searcher = _Searcher(cfg)
     raw, exhaustive = searcher.search(seq, cfg.depth_limit)
@@ -385,9 +383,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             "unique_proofs": len(unique),
             "capped": searcher.truncated,
         })
-    if not cfg.enumerate_all:
-        unique = unique[: cfg.max_proofs]
-    return SearchResult(tuple(unique), exhaustive and not searcher.truncated)
+    return SearchResult(tuple(unique[: cfg.max_proofs]), exhaustive and not searcher.truncated)
 
 
 # -------------------------------------------------------------- rendering

@@ -17,7 +17,7 @@ from .model import Model
 # contract_network is re-exported: bench/tracing.py wraps every module's
 # binding of it, and bench/test_bench.py expects one here.
 from .planner import DEFAULT_CELL_BUDGET, contract_network  # noqa: F401
-from .relsem import DEFAULT_K, SemanticsError, _witness_counts, eval_diagram_rel
+from .relsem import DEFAULT_K, FinRel, SemanticsError, _witness_counts
 
 
 def eval_diagram_vec(
@@ -40,16 +40,12 @@ def eval_diagram_vec(
     return float(total) if use_float else total
 
 
-def check_equivalence(
-    d: Diagram, m: Model, k: int = DEFAULT_K, budget: int = DEFAULT_CELL_BUDGET
-) -> bool:
+def check_equivalence(rel: FinRel, scalar: int | float) -> bool:
     """True iff the vector scalar is non-zero exactly when Rel is true.
 
-    Both sides are read off the same exact contraction, so this checks the
+    Both readings come from the same exact contraction, so this checks the
     two public readings of it, not the contraction itself.  The independent
     check is the brute-force evaluator in ``tests/reference.py``, which
     counts wire assignments without the planner.
     """
-    scalar = eval_diagram_vec(d, m, k, budget)
-    rel = eval_diagram_rel(d, m, k, budget)
     return (scalar != 0) == rel.nonempty

@@ -2,15 +2,21 @@
 
 These checks do not pin which proofs the search returns, only what stays
 true whatever it returns: every proof checks and compiles, wiring
-substitution is idempotent, diagrams round-trip through JSON, and each
+substitution is idempotent, diagrams round-trip through JSON, each
 sentence keeps its number of readings (``swap_erased_key`` classes of its
-substituted diagrams), which belongs to the grammar, not to the search.
+substituted diagrams), which belongs to the grammar, not to the search, and
+each substituted diagram counts the witnesses that the brute-force
+evaluator in ``reference.py`` counts, whatever order the model lists its
+universe in.
 """
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from lamsem import (
+    Model,
     SearchConfig,
     check_proof_report,
     diagram_from_json,
@@ -24,8 +30,11 @@ from lamsem import (
 )
 from lamsem.formula import parse_formula
 from lamsem.prover import proof_to_text
+from lamsem.relsem import _witness_counts
 
 from conftest import DONKEY
+from reference import reference_counts
+from test_vecsem import random_model
 
 # (sentence, goal, readings)
 CORPUS = (
@@ -84,3 +93,43 @@ def test_corpus_invariants(lexicon, sentence, goal, readings, k):
             assert diagram_from_json(export(d, "json"), lexicon.atoms) == d
         keys.add(swap_erased_key(sub))
     assert len(keys) == readings
+
+
+def reversed_model(m: Model) -> Model:
+    """`m` with its universe listed in reverse order: the same model,
+    relabelled."""
+    last = m.size - 1
+    flip = lambda subset: sum(1 << (last - i) for i in range(m.size) if subset >> i & 1)
+    return Model(
+        universe=m.universe[::-1],
+        unary={name: flip(subset) for name, subset in m.unary.items()},
+        binary={
+            name: frozenset((last - x, last - y) for x, y in pairs)
+            for name, pairs in m.binary.items()
+        },
+        determiners=m.determiners,
+    )
+
+
+# two models at each of |U| = 2 and 3; on this seed 16 of the 18 sentences
+# are true on some of them and false on others
+_rng = random.Random(23)
+MODELS = tuple(random_model(_rng, size) for size in (2, 2, 3, 3))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize(
+    "sentence,goal", [(s, g) for s, g, _ in CORPUS], ids=[s for s, _, _ in CORPUS]
+)
+def test_corpus_witness_counts(lexicon, sentence, goal, k):
+    words = sentence.split()
+    diagrams = {
+        substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon)
+        for p in _first_proofs(lexicon, words, goal, k)
+    }
+    for d in diagrams:
+        for m in MODELS:
+            counts = _witness_counts(d, m, k)
+            assert counts == reference_counts(d, m, k)
+            relabelled = _witness_counts(d, reversed_model(m), k)
+            assert sorted(relabelled.values()) == sorted(counts.values())

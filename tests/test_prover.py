@@ -121,7 +121,7 @@ def test_every_enumerated_proof_checks_and_compiles(lexicon, sentence, goal, k):
     words = sentence.split()
     goal_f = parse_formula(goal, lexicon.atoms)
     for seq in sentence_to_sequents(words, lexicon, goal_f):
-        for p in prove(seq, SearchConfig(k=k, enumerate_all=True)):
+        for p in prove(seq, SearchConfig(k=k, max_proofs=None)):
             assert check_proof_report(p, k=k) is None, proof_to_text(p)
             assert typecheck(proof_to_diagram(p, lexicon, words=words))
 
@@ -158,11 +158,18 @@ def first_result(lexicon, sentence: str, cfg: SearchConfig):
 
 
 def test_proof_cap_is_reported_as_not_exhaustive(lexicon):
-    cfg = SearchConfig(k=2, enumerate_all=True)
+    cfg = SearchConfig(k=2, max_proofs=None)
     donkey = first_result(lexicon, DONKEY, cfg)
     assert len(donkey.proofs) == 26
     assert donkey.exhaustive is False  # the per-sequent cap cut the search
     assert first_result(lexicon, "dogs eat snacks", cfg).exhaustive is True
+
+
+def test_max_proofs_caps_the_result_unless_none(lexicon):
+    assert len(first_result(lexicon, DONKEY, SearchConfig(k=2, max_proofs=3)).proofs) == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            SearchConfig(max_proofs=bad)
 
 
 def test_copy_bound_is_respected():
@@ -312,7 +319,7 @@ _sequents = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_sequents, st.integers(1, 3))
 def test_count_check_holds_on_every_proved_sequent(seq, k):
-    cfg = SearchConfig(k=k, depth_limit=4, enumerate_all=True)
+    cfg = SearchConfig(k=k, depth_limit=4, max_proofs=None)
     stack = list(prove_unpruned(seq, cfg).proofs)
     while stack:
         node = stack.pop()
@@ -334,7 +341,7 @@ _discourses = st.lists(
 @given(st.one_of(_sequents, _discourses), st.integers(1, 3))
 @example(parse_sequent("np/n, n, np\\s/np, !@(!@np/n), n -> s"), 2)
 def test_proof_json_round_trips_on_drawn_sequents(seq, k):
-    for p in prove(seq, SearchConfig(k=k, depth_limit=8, enumerate_all=True)):
+    for p in prove(seq, SearchConfig(k=k, depth_limit=8, max_proofs=None)):
         text = proof_to_json(p)
         again = proof_from_json(text)
         assert again == p

@@ -222,10 +222,11 @@ def test_rel_vec_equivalence_randomized(lexicon):
     for i in range(200):
         m = random_model(rng, size=2 + i % 2)
         for d in diagrams:
-            assert check_equivalence(d, m, k=2)
+            rel, vec = eval_diagram_rel(d, m, k=2), eval_diagram_vec(d, m, k=2)
+            assert check_equivalence(rel, vec)
             ref = reference_counts(d, m, k=2)
-            assert eval_diagram_vec(d, m, k=2) == sum(ref.values())
-            assert eval_diagram_rel(d, m, k=2).nonempty == bool(ref)
+            assert vec == sum(ref.values())
+            assert rel.nonempty == bool(ref)
             checked += 1
     assert checked == 200 * len(SENTENCES)
 
@@ -236,11 +237,15 @@ def test_equivalence_is_semantic_not_trivial(
     """Equivalence holds on a true and on a false model, and the reference
     evaluator confirms which is which."""
     d = sentence_diagram(lexicon, DONKEY)
-    assert check_equivalence(d, model_donkey_true)
+    assert check_equivalence(
+        eval_diagram_rel(d, model_donkey_true), eval_diagram_vec(d, model_donkey_true)
+    )
     assert rel_true(eval_diagram_rel(d, model_donkey_true))
     assert sum(reference_counts(d, model_donkey_true, k=2).values()) == 32
 
-    assert check_equivalence(d, model_donkey_false)
+    assert check_equivalence(
+        eval_diagram_rel(d, model_donkey_false), eval_diagram_vec(d, model_donkey_false)
+    )
     assert eval_diagram_vec(d, model_donkey_false) == 0
     assert not rel_true(eval_diagram_rel(d, model_donkey_false))
     assert reference_counts(d, model_donkey_false, k=2) == {}
