@@ -6,6 +6,7 @@ false, 2 = error (including ungrammatical input to `eval`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -170,6 +171,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK if any_true else EXIT_NO
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamsem",
@@ -219,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
     finally:
         TRACE.reset(token)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .formula import (
@@ -205,7 +206,7 @@ class State(Generator):
     def ins(self) -> tuple[WireType, ...]:
         return ()
 
-    @property
+    @cached_property
     def outs(self) -> tuple[WireType, ...]:
         return formula_wires(self.formula)
 
@@ -232,7 +233,7 @@ class DetBox(Generator):
     def ins(self) -> tuple[WireType, ...]:
         return (NWire(),)
 
-    @property
+    @cached_property
     def outs(self) -> tuple[WireType, ...]:
         return formula_wires(strip_nabla(self.formula).left)
 
@@ -962,7 +963,6 @@ def _rewrite_once(mut: _Mut, lex: Optional[Lexicon], rules=_RULES) -> Optional[C
 
 # ------------------------------------------------------------ swap normal form
 
-_SYMMETRIC_INS = (Cup, Mult)  # input legs commute
 _EXCHANGEABLE_OUTS = (Proj, Cap)  # output legs are interchangeable
 
 
@@ -1004,14 +1004,14 @@ def _reinsert_swaps(mut: _Mut) -> None:
             origin[out] = origin[tok]
         frontier[i], frontier[i + 1] = (sw, 0), (sw, 1)
 
-    def plan(n: int) -> Optional[tuple[int, int, int, bool]]:
-        """The cheapest placement of node n as (crossings, lo, hi, flip), or
-        None while an input wire is not on the frontier.
+    def plan(n: int) -> Optional[tuple[int, int, int]]:
+        """The cheapest placement of node n as (crossings, lo, hi), or None
+        while an input wire is not on the frontier.
 
         Its inputs take distinct frontier positions lo <= hi.  Bringing them
-        together costs hi - lo + 1 - m crossings, plus one (`flip`) to
-        uncross a reversed pair whose inputs do not commute; ties go to the
-        leftmost positions.
+        together costs hi - lo + 1 - m crossings; a reversed pair needs no
+        uncrossing, since only Cup and Mult take two inputs and theirs
+        commute.  Ties go to the leftmost positions.
         """
         gen = mut.gens[n]
         cands = []
@@ -1025,17 +1025,14 @@ def _reinsert_swaps(mut: _Mut) -> None:
         for pos in itertools.product(*cands):
             if len(set(pos)) == len(pos):
                 lo, hi = min(pos), max(pos)
-                flip = pos[0] > pos[-1] and not isinstance(gen, _SYMMETRIC_INS)
-                options.append((hi - lo + 1 - len(pos) + flip, lo, hi, flip))
+                options.append((hi - lo + 1 - len(pos), lo, hi))
         return min(options, default=None)
 
-    def place(n: int, lo: int, hi: int, flip: bool) -> None:
-        """Cross the wire at hi leftwards to lo + 1, uncross the pair if
-        `flip`, and bind input ip to the wire at lo + ip."""
+    def place(n: int, lo: int, hi: int) -> None:
+        """Cross the wire at hi leftwards to lo + 1 and bind input ip to the
+        wire at lo + ip."""
         for i in range(hi - 1, lo, -1):
             cross(i)
-        if flip:
-            cross(lo)
         m = len(mut.gens[n].ins)
         for ip, t in enumerate(frontier[lo : lo + m]):
             old = mut.src_of.get((n, ip))
@@ -1055,8 +1052,8 @@ def _reinsert_swaps(mut: _Mut) -> None:
         options = [(p[0], n, p) for n in pending if (p := plan(n)) is not None]
         if not options:
             raise DiagramError("diagram contains a cycle")
-        _, n, (_, lo, hi, flip) = min(options)
-        place(n, lo, hi, flip)
+        _, n, (_, lo, hi) = min(options)
+        place(n, lo, hi)
 
 
 def substitute_wirings(d: Diagram, lex: Lexicon) -> Diagram:

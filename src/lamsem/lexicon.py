@@ -94,12 +94,20 @@ class Lexicon:
             for ts in words.values()
         ):
             raise LexiconError('"words" must map each word to a list of formulas')
-        atoms = frozenset(d.get("atoms", ("n", "np", "s")))
+        atoms = d.get("atoms", ["n", "np", "s"])
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise LexiconError('"atoms" must be a list of strings')
+        wirings = d.get("wirings", {})
+        if not isinstance(wirings, dict) or not all(
+            isinstance(t, str) for t in wirings.values()
+        ):
+            raise LexiconError('"wirings" must map each word to a wiring tag')
+        atoms = frozenset(atoms)
         entries = {
             word: tuple(parse_formula(t, atoms) for t in texts)
             for word, texts in words.items()
         }
-        return cls(atoms=atoms, entries=entries, wirings=dict(d.get("wirings", {})))
+        return cls(atoms=atoms, entries=entries, wirings=dict(wirings))
 
     @classmethod
     def from_path(cls, path: str | Path) -> "Lexicon":

@@ -219,14 +219,19 @@ class _Searcher:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        # sequent -> (proofs, exhaustive, depth budget the entry was computed at)
-        self.memo: dict[Sequent, tuple[tuple[ProofTree, ...], bool, int]] = {}
+        # sequent -> ((proof, class) pairs, exhaustive, depth budget the entry
+        # was computed at); proofs equal up to Perm-node placement share a class
+        self.memo: dict[Sequent, tuple[tuple[tuple[ProofTree, int], ...], bool, int]] = {}
+        # (rule, perm-normalized conclusion, !L copies, premise classes) -> class
+        self.classes: dict[tuple, int] = {}
         self.truncated = False  # whether _NODE_CAP dropped any proof
         self.nodes = 0  # sequents whose rules were tried
         self.memo_hits = 0
         self.pruned = 0  # distinct sequents cut by count_excludes_zero
 
-    def search(self, seq: Sequent, depth: int) -> tuple[tuple[ProofTree, ...], bool]:
+    def search(
+        self, seq: Sequent, depth: int
+    ) -> tuple[tuple[tuple[ProofTree, int], ...], bool]:
         hit = self.memo.get(seq)
         if hit is not None:
             proofs, exhaustive, at_depth = hit
@@ -242,12 +247,15 @@ class _Searcher:
         if depth <= 0:
             return (), False
         self.nodes += 1
-        proofs: list[ProofTree] = []
+        # every arrangement normalizes alike: only movable formulas move
+        norm = perm_normalize(seq)
+        proofs: list[tuple[ProofTree, int]] = []
         exhaustive = True
         for ant, moves in _movable_arrangements(seq.antecedent):
             vseq = Sequent(ant, seq.succedent)
             for rule, data, premise_seqs in self._applications(vseq):
-                sub: list[tuple[ProofTree, ...]] = []
+                head = (rule, norm, tuple(v for k, v in data if k == "n"))
+                sub: list[tuple[tuple[ProofTree, int], ...]] = []
                 ok = True
                 for p in premise_seqs:
                     found, exh = self.search(p, depth - 1)
@@ -260,8 +268,10 @@ class _Searcher:
                 if not ok:
                     continue
                 for combo in itertools.product(*sub):
-                    node = ProofTree(rule, vseq, tuple(combo), data)
-                    proofs.append(_wrap_perms(node, seq.antecedent, seq.succedent, moves))
+                    node = ProofTree(rule, vseq, tuple(p for p, _ in combo), data)
+                    key = (head, tuple(c for _, c in combo))
+                    proof = _wrap_perms(node, seq.antecedent, seq.succedent, moves)
+                    proofs.append((proof, self.classes.setdefault(key, len(self.classes))))
                     if len(proofs) >= self._NODE_CAP:
                         self.truncated = True
                         break
@@ -324,52 +334,18 @@ class _Searcher:
             yield NABLA_R, (), [Sequent((ant[0].inner,), succ.inner)]
 
 
-def _canonical_key(t: ProofTree, number: Callable[[ProofTree], int]) -> tuple:
-    """Proof identity up to Perm-node placement, given the premises' numbers.
-
-    The perm-normalized conclusion stands for its text: ``format_sequent``
-    is injective, so equal sequents are exactly those with equal texts.
-    """
-    extra = tuple(v for k, v in t.data if k == "n")
-    return (t.rule, perm_normalize(t.conclusion), extra, tuple(map(number, t.premises)))
-
-
-def _distinct(raw: tuple[ProofTree, ...]) -> list[ProofTree]:
-    """The first of each class of `raw` that is equal up to Perm-node placement.
-
-    Raw proofs share subtrees, so each node is keyed once: its number is
-    kept by ``id`` (`raw` keeps every node alive), and equal keys get equal
-    numbers.
-    """
-    numbers: dict[int, int] = {}
-    keys: dict[tuple, int] = {}
-
-    def number(t: ProofTree) -> int:
-        n = numbers.get(id(t))
-        if n is None:
-            if t.rule == PERM:
-                n = number(t.premises[0])
-            else:
-                n = keys.setdefault(_canonical_key(t, number), len(keys))
-            numbers[id(t)] = n
-        return n
-
-    first: dict[int, ProofTree] = {}
-    for t in raw:
-        first.setdefault(number(t), t)
-    return list(first.values())
-
-
 def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward search for cut-free proofs of `seq`.
 
-    Returns up to ``cfg.max_proofs`` proofs (every one if it is None),
-    deduplicated up to Perm-node placement and sorted canonically.
+    Returns up to ``cfg.max_proofs`` proofs (every one if it is None): the
+    first found of each class up to Perm-node placement, sorted canonically.
     """
     searcher = _Searcher(cfg)
     raw, exhaustive = searcher.search(seq, cfg.depth_limit)
-    unique = _distinct(raw)
-    unique.sort(key=proof_to_text)
+    first: dict[int, ProofTree] = {}
+    for t, c in raw:
+        first.setdefault(c, t)
+    unique = sorted(first.values(), key=proof_to_text)
     trace = TRACE.get()
     if trace is not None:
         trace({

@@ -1,10 +1,13 @@
 """Print one SHA-256 digest of the proofs and exports of the test corpus.
 
 Run as ``PYTHONPATH=src:tests python tests/corpus_digest.py``.  It prints
-the number of proofs and the hex digest.  Two trees that print the same
-line find the same proofs and export them to the same bytes, so a change
-meant to leave the pipeline's output alone can be checked against its
-parent with one command.
+two lines.  The first is the number of proofs and the hex digest: two trees
+that print the same line find the same proofs and export them to the same
+bytes, so a change meant to leave the pipeline's output alone can be checked
+against its parent with one command.  The second is the number of records
+the trace channel :data:`lamsem.prover.TRACE` received meanwhile and one
+SHA-256 over ``json.dumps(record, sort_keys=True)`` of each, in order: two
+trees that print it alike also searched, substituted and counted alike.
 
 For each ``CORPUS`` sentence in order and each k = 1, 2, 3 it takes the
 first provable sequent, searches it with the default ``SearchConfig`` and,
@@ -15,6 +18,7 @@ substituted one.
 from __future__ import annotations
 
 import hashlib
+import json
 
 from lamsem import (
     Lexicon,
@@ -26,6 +30,7 @@ from lamsem import (
     substitute_wirings,
 )
 from lamsem.formula import parse_formula
+from lamsem.prover import TRACE
 
 from conftest import data_path
 from test_corpus import CORPUS
@@ -57,4 +62,13 @@ def corpus_digest() -> tuple[int, str]:
 
 
 if __name__ == "__main__":
-    print(*corpus_digest())
+    records: list[dict] = []
+    token = TRACE.set(records.append)
+    try:
+        print(*corpus_digest())
+    finally:
+        TRACE.reset(token)
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode())
+    print(len(records), h.hexdigest())

@@ -275,8 +275,11 @@ def test_eval_missing_model_file(capsys):
     assert "error:" in err
 
 
-def test_bad_goal_formula(capsys):
-    code, out, err = run(capsys, "prove", "dogs eat snacks", "--goal", "s//")
+@pytest.mark.parametrize(
+    "goal", ["s//", "(" * 3000 + "s" + ")" * 3000], ids=["syntax", "nested"]
+)
+def test_bad_goal_formula(capsys, goal):
+    code, out, err = run(capsys, "prove", "john sleeps", "--goal", goal)
     assert code == EXIT_ERROR
 
 
@@ -291,6 +294,9 @@ def test_bad_goal_formula(capsys):
         ("--model", {"universe": 5}),
         ("--model", {"universe": ["a"], "binary": {"eat": [["a"]]}}),
         ("--lexicon", {"words": []}),
+        ("--lexicon", {"words": {"dogs": ["np"]}, "atoms": 5}),
+        ("--lexicon", {"words": {"dogs": ["np"]}, "wirings": [1]}),
+        ("--lexicon", {"words": {"dogs": ["np"]}, "wirings": {"dogs": []}}),
     ],
 )
 def test_malformed_data_file_is_an_error(capsys, tmp_path, flag, content):

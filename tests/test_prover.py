@@ -26,6 +26,7 @@ from lamsem.formula import (
     Tensor,
     Under,
     count_excludes_zero,
+    format_formula,
     parse_formula,
     parse_sequent,
 )
@@ -193,11 +194,30 @@ def test_k_monotonicity():
         assert prove(seq, SearchConfig(k=k)).proofs
 
 
-def test_proofs_are_distinct_and_canonically_ordered():
-    seq = parse_sequent("!@np, np\\s, @np\\np, np\\s -> s.s")
-    result = prove(seq, SearchConfig(k=2))
+def _up_to_perm(t) -> tuple:
+    """`t` with Perm nodes erased and each conclusion's @ formulas sorted leftmost."""
+    while t.rule == prover.PERM:
+        t = t.premises[0]
+    ant = t.conclusion.antecedent
+    moved = sorted((f for f in ant if isinstance(f, Nabla)), key=format_formula)
+    rest = [f for f in ant if not isinstance(f, Nabla)]
+    premises = tuple(_up_to_perm(p) for p in t.premises)
+    return t.rule, tuple(moved + rest), t.conclusion.succedent, premises
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        ("!@np, np\\s, @np\\np, np\\s -> s.s", 2),
+        ("!@np, np\\s, @np\\np, np\\s -> s.s", 3),
+        ("!@np, np\\s, !@np, np\\s, @np\\np, np\\s -> s.s.s", 2),
+    ],
+)
+def test_proofs_are_distinct_and_canonically_ordered(text, k):
+    result = prove(parse_sequent(text), SearchConfig(k=k, max_proofs=None))
+    keys = [_up_to_perm(p) for p in result.proofs]
+    assert len(keys) > 1 and len(set(keys)) == len(keys)
     texts = [proof_to_text(p) for p in result.proofs]
-    assert len(set(texts)) == len(texts)
     assert texts == sorted(texts)
 
 
