@@ -113,17 +113,16 @@ def _diagrams(args, lexicon: Lexicon):
     words, attempts, seq, proofs = _find_proofs(args, lexicon)
     if not proofs:
         return words, []
-    out = []
-    seen = set()
+    # equal raw keys give equal substituted keys, so substitute one per class
+    raw = {}
     for proof in proofs:
         d = proof_to_diagram(proof, lexicon, words=words)
+        raw.setdefault(swap_erased_key(d), d)
+    out = {}
+    for d in raw.values():
         s = substitute_wirings(d, lexicon)
-        key = swap_erased_key(s)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
-    return words, out
+        out.setdefault(swap_erased_key(s), s)
+    return words, list(out.values())
 
 
 def cmd_diagram(args) -> int:

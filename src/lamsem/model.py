@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from .formula import _fields_only
+
 DEFAULT_UNIVERSE_CAP = 6
 
 SubsetId = int
@@ -31,6 +33,9 @@ class Model:
         default_factory=dict
     )
     universe_cap: int = DEFAULT_UNIVERSE_CAP
+
+    # relsem._witness_counts keeps the counts of the last evaluation on the model
+    __getstate__ = _fields_only
 
     def __post_init__(self) -> None:
         if len(set(self.universe)) != len(self.universe):

@@ -412,15 +412,24 @@ def _witness_counts(
     The one evaluation both backends share: the diagram's relation is the
     set of keys, its vector scalar (when closed) the sum of the values.
     Only the generator entries are built from `m`; the plan is reused.
+    `m` keeps the counts of its last evaluation, so a second reading of the
+    same ``(d, k, budget)`` does not contract again; the returned dict is
+    shared and must not be changed.
     """
     if k < 1 or k > MAX_K:
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
-    return contract_network(
+    key = (d, k, budget)
+    kept = m.__dict__.get("_last_counts")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    counts = contract_network(
         _plan(d, m.size, k),
         lambda tn, carried: generator_entries(tn.gen, m, k, carried, budget),
         lambda w: carrier_size(w, m.size, k),
         budget,
     )
+    object.__setattr__(m, "_last_counts", (key, counts))
+    return counts
 
 
 def eval_diagram_rel(

@@ -7,7 +7,8 @@ a single scalar that counts the relational witnesses.  It is read off the
 same exact integer contraction that gives the relational semantics
 (:func:`lamsem.relsem._witness_counts`), whose relation is the support of
 the counts, so the scalar is non-zero exactly when the relation is
-non-empty.
+non-empty.  The model keeps those counts, so reading the scalar after the
+relation of the same diagram does not contract again.
 """
 from __future__ import annotations
 

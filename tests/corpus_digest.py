@@ -1,7 +1,7 @@
 """Print one SHA-256 digest of the proofs and exports of the test corpus.
 
 Run as ``PYTHONPATH=src:tests python tests/corpus_digest.py``.  It prints
-two lines.  The first is the number of proofs and the hex digest: two trees
+three lines.  The first is the number of proofs and the hex digest: two trees
 that print the same line find the same proofs and export them to the same
 bytes, so a change meant to leave the pipeline's output alone can be checked
 against its parent with one command.  The second is the number of records
@@ -14,6 +14,13 @@ first provable sequent, searches it with the default ``SearchConfig`` and,
 at k <= 2, a second time for every unique proof.  For each proof it feeds
 the JSON and then the DOT export of the raw diagram, then of the
 substituted one.
+
+The third line is computed after the trace channel is reset, so the first
+two do not depend on it.  It is the number of evaluations and one SHA-256
+over the sorted relation pairs and the witness count of each: every
+distinct substituted corpus diagram at each k = 1, 2, 3 on each of the
+seeded ``MODELS`` of ``test_corpus.py``, read with ``eval_diagram_rel`` and
+then ``eval_diagram_vec``.  Two trees that print it alike evaluate alike.
 """
 from __future__ import annotations
 
@@ -23,6 +30,8 @@ import json
 from lamsem import (
     Lexicon,
     SearchConfig,
+    eval_diagram_rel,
+    eval_diagram_vec,
     export,
     proof_to_diagram,
     prove,
@@ -33,7 +42,7 @@ from lamsem.formula import parse_formula
 from lamsem.prover import TRACE
 
 from conftest import data_path
-from test_corpus import CORPUS
+from test_corpus import CORPUS, MODELS, corpus_diagrams
 
 
 def corpus_digest() -> tuple[int, str]:
@@ -61,6 +70,18 @@ def corpus_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def evaluation_digest() -> tuple[int, str]:
+    h = hashlib.sha256()
+    count = 0
+    for d in corpus_diagrams():
+        for k in (1, 2, 3):
+            for m in MODELS:
+                pairs = sorted(eval_diagram_rel(d, m, k).pairs, key=repr)
+                h.update(repr((pairs, eval_diagram_vec(d, m, k))).encode())
+                count += 1
+    return count, h.hexdigest()
+
+
 if __name__ == "__main__":
     records: list[dict] = []
     token = TRACE.set(records.append)
@@ -72,3 +93,4 @@ if __name__ == "__main__":
     for record in records:
         h.update(json.dumps(record, sort_keys=True).encode())
     print(len(records), h.hexdigest())
+    print(*evaluation_digest())

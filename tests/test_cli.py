@@ -6,7 +6,16 @@ import json
 import pytest
 from conftest import DONKEY, data_path
 
-from lamsem import SearchConfig, diagram_from_json, proof_from_json
+from lamsem import (
+    SearchConfig,
+    diagram_from_json,
+    parse_formula,
+    proof_from_json,
+    proof_to_diagram,
+    prove,
+    sentence_to_sequents,
+    swap_erased_key,
+)
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
 from lamsem.prover import TRACE
 
@@ -199,6 +208,25 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
         assert {"some inputs", "outputs"} <= {s["build"][1] for s in steps}
 
 
+@pytest.mark.parametrize(
+    "sentence, model",
+    [
+        (DONKEY, "model_donkey_true.json"),
+        (DONKEY, "model_donkey_false.json"),
+        ("dogs eat snacks", "model_dogs.json"),
+    ],
+)
+def test_both_backends_trace_each_contraction_once(capsys, sentence, model):
+    """Both readings come from one contraction, so `--backend both` traces
+    the steps that `--backend rel` does."""
+    steps = {}
+    for backend in ("rel", "both"):
+        argv = ("eval", sentence, "--model", str(data_path(model)), "--backend", backend)
+        _, _, err = run(capsys, *argv, "--trace")
+        steps[backend] = [r for r in map(json.loads, err.splitlines()) if "step" in r]
+    assert steps["rel"] and steps["both"] == steps["rel"]
+
+
 SEARCH_KEYS = {
     "search", "k", "nodes", "memo_hits", "memo_size", "pruned",
     "raw_proofs", "unique_proofs", "capped",
@@ -235,6 +263,18 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
         assert searches[-1]["unique_proofs"] > 0
 
 
+def raw_classes(lexicon, sentence: str) -> set:
+    """The `swap_erased_key` classes of the raw diagrams of the proofs that
+    `prove` returns for the first provable sequent of `sentence`."""
+    words, n_sentences = tokenize(sentence)
+    goal = parse_formula(".".join(["s"] * n_sentences), lexicon.atoms)
+    for seq in sentence_to_sequents(words, lexicon, goal):
+        proofs = prove(seq, SearchConfig()).proofs
+        if proofs:
+            return {swap_erased_key(proof_to_diagram(p, lexicon, words=words)) for p in proofs}
+    return set()
+
+
 @pytest.mark.parametrize(
     "sentence, fired",
     [
@@ -247,16 +287,15 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
         ("every dog eats snacks", {"detbox": 1}),
     ],
 )
-def test_diagram_trace_prints_rewrite_counts(capsys, sentence, fired):
+def test_diagram_trace_prints_rewrite_counts(capsys, lexicon, sentence, fired):
     code, out, err = run(capsys, "diagram", sentence)
     traced_code, traced_out, traced_err = run(capsys, "diagram", sentence, "--trace")
     assert (traced_code, traced_out, err) == (code, out, "")
     assert TRACE.get() is None  # reset when main returns
     records = [json.loads(line) for line in traced_err.splitlines()]
     rewrites = [r["rewrites"] for r in records if "rewrites" in r]
-    # one line per wiring substitution: one per proof returned
-    cap = SearchConfig().max_proofs
-    assert len(rewrites) == sum(min(r["unique_proofs"], cap) for r in records if "search" in r)
+    # one line per wiring substitution: one per raw class of the proofs returned
+    assert len(rewrites) == len(raw_classes(lexicon, sentence))
     want = dict.fromkeys(REWRITE_NAMES, 0) | fired
     assert all(r == want for r in rewrites)
 

@@ -2,7 +2,10 @@
 laws, and the end-to-end truth conditions."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -514,7 +517,8 @@ def test_plans_follow_the_universe_size(lexicon):
     for size in (2, 3, 2, 3):
         assert_matches_reference(d, random_donkey_model(rng, size))
     info = relsem._plan.cache_info()
-    assert (info.misses, info.hits) == (2, 6)  # one plan per size, then reuse
+    # one plan per size, then reuse; vec reads the counts rel kept on the model
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_equal_diagram_reuses_the_plan(lexicon, model_donkey_true):
@@ -522,10 +526,12 @@ def test_equal_diagram_reuses_the_plan(lexicon, model_donkey_true):
     eval_diagram_rel(d, model_donkey_true)
     twin = diagram_from_json(export(d, "json"))
     assert twin == d and twin is not d
+    # a content-equal model keeps no counts, so the plan is what gets reused
+    model = Model.from_dict(model_donkey_true.to_dict())
     hits = relsem._plan.cache_info().hits
-    assert eval_diagram_vec(twin, model_donkey_true) == 32
+    assert eval_diagram_vec(twin, model) == 32
     assert relsem._plan.cache_info().hits == hits + 1
-    assert_matches_reference(twin, model_donkey_true)
+    assert_matches_reference(twin, model)
 
 
 def test_plan_is_built_once_per_size_and_k(lexicon, monkeypatch):
@@ -556,6 +562,75 @@ def test_ill_typed_diagram_raises_on_every_call(model_dogs):
     for _ in range(2):
         with pytest.raises(DiagramError):
             eval_diagram_rel(bad, model_dogs)
+
+
+# ------------------------------------------------------------- kept counts
+
+
+def counted_contractions(monkeypatch) -> list:
+    """The calls of relsem.contract_network made from now on."""
+    calls = []
+    real = relsem.contract_network
+    monkeypatch.setattr(relsem, "contract_network", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_rel_then_vec_contracts_once(lexicon, monkeypatch):
+    d = sentence_diagram(lexicon, DONKEY)
+    m = random_donkey_model(random.Random(3))
+    calls = counted_contractions(monkeypatch)
+    rel = eval_diagram_rel(d, m)
+    assert eval_diagram_vec(d, m) == sum(reference_counts(d, m, 2).values())
+    assert len(calls) == 1
+    assert rel_true(rel) == donkey_oracle(m)
+    # an equal diagram is the same key
+    assert eval_diagram_vec(diagram_from_json(export(d, "json")), m) and len(calls) == 1
+    other = sentence_diagram(lexicon, "every farmer owns a donkey")
+    budget = relsem.DEFAULT_CELL_BUDGET
+    for again in (
+        lambda: eval_diagram_vec(d, m, 3),
+        lambda: eval_diagram_vec(d, m, 2, budget - 1),
+        lambda: eval_diagram_vec(other, m),
+        lambda: eval_diagram_vec(d, dataclasses.replace(m)),
+    ):
+        eval_diagram_rel(d, m)  # kept: (d, 2, budget)
+        before = len(calls)
+        again()
+        assert len(calls) == before + 1
+
+
+def test_a_failed_evaluation_is_not_kept(lexicon, monkeypatch):
+    d = sentence_diagram(lexicon, DONKEY)
+    m = random_donkey_model(random.Random(3))
+    calls = counted_contractions(monkeypatch)
+    for read in (eval_diagram_rel, eval_diagram_vec):
+        with pytest.raises(DiagramError, match="budget"):
+            read(d, m, 2, 1)
+    assert len(calls) == 2
+
+
+def test_fock_lift_rel_then_vec_contracts_as_often_as_rel(monkeypatch):
+    det = DetBox("a", parse_formula("np/n", ATOMS))
+    lift = FockLift(Diagram((det,), (), ((0, 0),), ((0, 0),)))
+    d = Diagram((Cap(lift.ins[0]), lift), (Edge(0, 1, 1, 0),), (), ((0, 0), (1, 0)))
+    calls = counted_contractions(monkeypatch)
+    eval_diagram_rel(d, map_model(2), 3)
+    alone = len(calls)
+    assert alone >= 2  # the inner diagram and the outer one
+    m = map_model(2)
+    rel = eval_diagram_rel(d, m, 3)
+    scalar = eval_diagram_vec(d, m, 3)
+    assert len(calls) == 2 * alone
+    assert rel.pairs == rel_pairs(d, map_model(2), 3)
+    assert scalar == sum(reference_counts(d, map_model(2), 3).values())
+
+
+def test_copies_of_a_model_keep_no_counts(lexicon, model_donkey_true):
+    m = Model.from_dict(model_donkey_true.to_dict())
+    eval_diagram_rel(sentence_diagram(lexicon, DONKEY), m)
+    assert "_last_counts" in vars(m)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert twin == m and "_last_counts" not in vars(twin)
 
 
 
