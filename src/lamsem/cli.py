@@ -191,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace",
             action="store_true",
-            help="print the counters of each proof search (pruned and memo_size "
-            "count distinct sequents), the rewrites of each wiring substitution "
-            "and each contraction step as JSON lines on stderr",
+            help="print as JSON lines on stderr the counters of each proof search "
+            "(pruned and memo_size count distinct sequents), the rewrites of each "
+            "wiring substitution and each contraction step and the ports it builds on",
         )
         p.set_defaults(fn=fn)
     return parser

@@ -9,12 +9,11 @@ its support, the vector scalar its sum).
 
 A :class:`Plan` holds the network, each leaf's marginalize and trace
 positions, the pair order and the boundary reorder, as index getters.  Leaves
-are lazy: each is built at the first step that takes it and, where it can, from
-the other operand's distinct values at some of its generator's inputs (times
-the carriers of the rest) or, when its outputs determine its inputs, at all
-its outputs: a semi-join, so counts stay exact.  The greedy pair order ranks
-steps by upper bounds on the entries they build and output, given per
-generator by the caller; their maximum is checked against the cell budget
+are lazy: each is built at the first step that takes it, and one that maps
+inputs to outputs only on the values its wires already take in another
+operand, port by port: a semi-join, so counts stay exact.  The greedy pair
+order ranks steps by upper bounds on the entries they build and output, given
+per generator by the caller; their maximum is checked against the cell budget
 before anything is built.  A plan reads the model only through carrier sizes
 and those bounds, so relsem caches one per (diagram, |U|, k) and runs it on
 every model.  While the one trace channel :data:`lamsem.prover.TRACE` holds
@@ -157,13 +156,13 @@ def _getter(pos: Sequence[int]) -> Getter:
 class Plan:
     """A fixed contraction of one network at fixed carrier sizes.
 
-    Leaf ``i`` fills slot ``i`` when a step first takes it, step ``s`` slot
-    ``len(leaves) + s``.  A leaf is ``None`` (kept as is) or (equality checks,
-    key getter).  A step is ``(slot1, slot2, shared1, shared2, keep1, keep2,
-    carried1, builds)``: each side's getters of its shared-wire key and of the
-    positions it keeps; ``carried1``, None or (ports, getter), when leaf
-    ``slot2`` is built only from the distinct tuples the getter takes from
-    ``slot1``'s, the values at those ports of its generator; and how each
+    Leaf ``i`` fills slot ``i`` when it is first built, step ``s`` slot
+    ``len(leaves) + s``.  A leaf is ``None`` (kept as is) or (equality
+    checks, key getter).  A step is ``(slot1, slot2, shared1, shared2,
+    keep1, keep2, groups1, groups2, builds)``: each side's getters of its
+    shared-wire key and of the positions it keeps; each side's groups of
+    (ports, source slot, getter), a leaf being built only on the distinct
+    tuples each getter takes from its source at those ports; and how each
     side is built (see :func:`plan_network`).  ``bound`` bounds the entries
     of every tensor the plan builds or outputs.
     """
@@ -214,17 +213,16 @@ def plan_network(
     ``bound_of(gen)`` bounds the entries of a generator's relation and, for
     one that maps inputs to outputs, the outputs of one input tuple (its
     fanout) and, if its outputs determine its inputs, the inputs of one
-    output tuple (its fanin); None where they do not apply.  Such a leaf,
-    merged into an operand that carries some of its wires, can be built from
-    that operand's distinct tuples over them: over carried inputs, times the
-    carriers of the inputs not carried (``"inputs"`` when all are carried,
-    else ``"some inputs"``), or over all its outputs (``"outputs"``).  That
-    keyed build is a subset of the whole relation, so it is taken whenever
-    its bound is no larger than the whole leaf's.  Any other operand is
-    built ``"whole"`` or is a step's ``"result"``.  Each step merges the
-    pair with the smallest bound on the entries it builds plus those it
-    outputs, ties broken by position; a result is bounded by the product of
-    its operands' bounds and by its dense size.
+    output tuple (its fanin); None where they do not apply.  A step that
+    takes such a leaf builds it on, at each kept port, the values of the
+    operand with the smallest bound that holds the port's wire by then: the
+    merge partner (built first), an earlier result, or a leaf always built
+    whole (a word or unit), built early and kept in its slot.  Ports with
+    none range over their carriers.  Every operand is a factor of what is
+    left, so a tuple no other factor agrees with adds nothing (a semi-join).
+    Each step merges the pair with the smallest bound on the entries it
+    builds plus those it outputs, ties broken by position; a result is
+    bounded by the product of its operands' bounds and by its dense size.
     """
     free = set(net.free)
     n_leaves = len(net.tensors)
@@ -240,31 +238,44 @@ def plan_network(
         leaves.append(leaf)
         live.append((len(live), axes, min(entries, dense(axes))))
 
-    def merge(one, other):
-        """Bounds on the entries each side builds and the step outputs when
-        `other` merges into `one`, how each side is built, and the ports of
-        `other`'s generator that it is built from (None: built whole)."""
-        (s1, axes1, b1), (s2, _, b2) = one, other
-        built1, how1 = (bounds[s1][0], "whole") if s1 < n_leaves else (0, "result")
-        if s2 >= n_leaves:
-            return built1, 0, b1 * b2, (how1, "result"), None
-        entries, fanout, fanin = bounds[s2]
-        options = [(entries, b1 * b2, "whole", None)]
-        tn = net.tensors[s2]
-        n_in = len(tn.gen.ins)
-        ins, outs = tn.axes[:n_in], tn.axes[n_in:]
-        ports = [p for p, a in enumerate(ins) if a in axes1]
-        if fanout is not None and ports:
-            per = dense(a for a in ins if a not in axes1) * fanout
-            how = "inputs" if len(ports) == n_in else "some inputs"
-            carried = min(b1, dense({ins[p] for p in ports}))
-            options.append((carried * per, b1 * per, how, ports))
-        if fanin is not None and set(outs) <= set(axes1) and not tn.summed:
-            ports = list(range(n_in, len(tn.axes)))
-            carried = min(b1, dense(set(outs)))
-            options.append((carried * fanin, b1 * fanin, "outputs", ports))
-        built2, out, how2, ports = min(options, key=lambda o: (o[0], o[3] is None))
-        return built1, built2, out, (how1, how2), ports
+    def side(op, partner, sources):
+        """Bounds on the entries `op` builds, has and meets per `partner`
+        tuple; how it is built; its groups of (ports, source, positions)."""
+        slot, _, b = op
+        entries, fanout, fanin = bounds[slot] if slot < n_leaves else (0, None, None)
+        if fanout is None:
+            return entries, b, b, "whole" if slot < n_leaves else "result", ()
+        tn = net.tensors[slot]
+        n_in, dropped = len(tn.gen.ins), {tn.axes[p] for p in tn.summed}
+        groups: dict[tuple[int, bool], list[int]] = {}  # (source index, outputs?): ports
+        for p, a in enumerate(tn.axes):
+            held = [n for n, o in enumerate(sources) if a in o[1]]
+            if held and a not in dropped:
+                src = min(held, key=lambda n: sources[n][2])
+                groups.setdefault((src, p >= n_in), []).append(p)
+        carried = {p for ports in groups.values() for p in ports}
+
+        def tuples(ports) -> int:
+            n = dense(tn.axes[p] for p in ports if p not in carried)
+            for (src, _), group in groups.items():
+                n *= min(sources[src][2], dense({tn.axes[p] for p in group if p in ports}))
+            return n
+
+        ins, outs = range(n_in), range(n_in, len(tn.axes))
+        n_ins = tuples(ins)
+        built = min(entries, n_ins * fanout)
+        if carried.issuperset(outs):
+            built = min(built, tuples(outs) * min(n_ins, fanin or n_ins))
+        per = fanout * dense(a for a in tn.axes[:n_in] if a not in partner[1])
+        if fanin and set(tn.axes[n_in:]) <= set(partner[1]):
+            per = min(per, fanin)
+        how = " and ".join(
+            name if carried.issuperset(r) else "some " + name
+            for r, name in ((ins, "inputs"), (outs, "outputs")) if carried.intersection(r)
+        )
+        got = tuple((tuple(ports), sources[n][0], _getter(
+            [sources[n][1].index(tn.axes[p]) for p in ports])) for (n, _), ports in groups.items())
+        return built, min(b, built), min(per, built), how or "whole", got
 
     steps = []
     peak = bounds[0][0] if n_leaves == 1 else 0
@@ -276,34 +287,34 @@ def plan_network(
             for i in range(len(live))
             for j in range(i + 1, len(live))
         ]
+        # operands that exist before a step: results and leaves built whole
+        ready = [o for o in live if o[0] >= n_leaves or bounds[o[0]][1] is None]
         best = None
         # no pair shares a wire (disconnected components): outer product
         for i, j, shared in [p for p in pairs if p[2]] or pairs[:1]:
             kill = {a for a in shared if deg[a] == 2 and a not in free}
             size = dense({a for a in live[i][1] + live[j][1] if a not in kill})
-            for first, second in ((i, j), (j, i)):
-                built1, built2, out, builds, ports = merge(live[first], live[second])
-                out = min(out, size)
-                key = (built1 + built2 + out, i, j, ports is None)
+            others = [o for o in ready if o is not live[i] and o is not live[j]]
+            for one, other in ((live[i], live[j]), (live[j], live[i])):
+                built1, has1, per1, how1, got1 = side(one, other, others)
+                built2, has2, per2, how2, got2 = side(other, one, [one] + others)
+                out = min(has1 * per2, per1 * has2, size)
+                key = (built1 + built2 + out, i, j, len(got1))
                 if best is None or key < best[0]:
                     top = max(built1, built2, out)
-                    best = (key, first, second, kill, top, out, builds, ports)
-        _, i, j, kill, top, bound, builds, ports = best
+                    best = (key, one, other, kill, top, out, (how1, how2), got1, got2)
+        _, one, other, kill, top, bound, builds, got1, got2 = best
         peak = max(peak, top)
-        (s1, axes1, _), (s2, axes2, _) = live[i], live[j]
+        (s1, axes1, _), (s2, axes2, _) = one, other
         shared = [a for a in axes1 if a in axes2]
         keep1 = [p for p, a in enumerate(axes1) if a not in kill]
         keep2 = [p for p, a in enumerate(axes2) if a not in shared and a not in kill]
         pos1 = [axes1.index(a) for a in shared]
         pos2 = [axes2.index(a) for a in shared]
-        carried1 = None
-        if ports is not None:
-            at = [axes1.index(net.tensors[s2].axes[p]) for p in ports]
-            carried1 = (tuple(ports), _getter(at))
         getters = map(_getter, (pos1, pos2, keep1, keep2))
-        steps.append((s1, s2, *getters, carried1, builds))
+        steps.append((s1, s2, *getters, got1, got2, builds))
         axes = [axes1[p] for p in keep1] + [axes2[p] for p in keep2]
-        live = [t for p, t in enumerate(live) if p not in (i, j)]
+        live = [t for t in live if t is not one and t is not other]
         live.append((slot, axes, min(bound, dense(axes))))
         slot += 1
     last = live[0][1] if live else []
@@ -313,41 +324,40 @@ def plan_network(
 
 def contract_network(
     plan: Plan,
-    relation_of: Callable[[TensorNode, tuple | None], Iterable[tuple]],
+    relation_of: Callable[[TensorNode, Sequence], Iterable[tuple]],
     size_of: Callable[[WireType], int],
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> dict[tuple, int]:
     """Contract a planned network down to a tensor over the free wires.
 
     Each tensor node is the 0/1 indicator of ``relation_of(node, carried)``,
-    its generator's relation as flat tuples (ins then outs): the whole
-    relation when `carried` is None, else, for (ports, values), only the
-    tuples whose values at those ports are in `values`.  The result maps each
-    boundary tuple (in boundary order) to its witness count, a positive
-    integer; tuples with no witness are absent.  A plan whose bound exceeds
-    `cell_budget` raises :class:`DiagramError` before anything is built.
+    its generator's relation as flat tuples (ins then outs), only those whose
+    values at the ports of each (ports, values) pair in `carried` are among
+    its values.  The result maps each boundary tuple (in boundary order) to
+    its witness count, a positive integer; tuples with no witness are absent.
+    A plan whose bound exceeds `cell_budget` raises :class:`DiagramError`
+    before anything is built.
     """
     net = plan.net
     if plan.bound > cell_budget:
         raise DiagramError(
             f"contraction bound {plan.bound} exceeds the {cell_budget} budget"
         )
+    slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
 
-    def build(slot: int, carried=None) -> dict[tuple, int]:
-        leaf = plan.leaves[slot]
-        entries = dict.fromkeys(relation_of(net.tensors[slot], carried), 1)
-        return entries if leaf is None else _sum_by(entries, leaf[1], leaf[0])
+    def operand(slot: int, groups=()) -> dict[tuple, int]:
+        """The tensor in `slot`, a leaf built there first if it is not yet."""
+        if slots[slot] is None:
+            carried = groups and [(p, set(map(get, operand(s)))) for p, s, get in groups]
+            leaf = plan.leaves[slot]
+            entries = dict.fromkeys(relation_of(net.tensors[slot], carried), 1)
+            slots[slot] = entries if leaf is None else _sum_by(entries, leaf[1], leaf[0])
+        return slots[slot]
 
     trace = TRACE.get()
-    slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
     for n, step in enumerate(plan.steps):
-        s1, s2, shared1, shared2, keep1, keep2, carried1, builds = step
-        t1 = slots[s1]
-        if t1 is None:
-            t1 = build(s1)
-        t2 = slots[s2]
-        if t2 is None:
-            t2 = build(s2, carried1 and (carried1[0], set(map(carried1[1], t1))))
+        s1, s2, shared1, shared2, keep1, keep2, groups1, groups2, builds = step
+        t1, t2 = operand(s1, groups1), operand(s2, groups2)
         slots[s1] = slots[s2] = {}  # free merged tensors as we go
         index2: dict[tuple, list[tuple[tuple, int]]] = {}
         for tup, v in t2.items():
@@ -371,6 +381,6 @@ def contract_network(
             })
     # a closed wire loop traces to its carrier size
     loop_scalar = prod(size_of(w) for w in net.loops)
-    last = slots[-1] if plan.steps else build(0) if slots else {(): 1}
+    last = slots[-1] if plan.steps else operand(0) if slots else {(): 1}
     result = _sum_by(last, plan.reorder)
     return {k: v * loop_scalar for k, v in result.items()}

@@ -9,12 +9,12 @@ support of its exact witness counts (:func:`_witness_counts`), the same
 contraction whose sum is the vector semantics.
 
 A generator that maps inputs to outputs (``_MAPS``: determiner boxes,
-``Mult``, ``Proj``, ``Comult``, ``Counit``, ``FockLift``) has one definition,
-the outputs of one input tuple (and for ``Proj`` and ``Comult`` its
-inverse).  :func:`generator_entries` takes it over the whole input carrier,
-or over the values that reach some of its inputs (times the carriers of the
-others) or all its outputs.  The planner orders its steps by bounds on entry
-counts (:func:`_leaf_bound`) that read only the generator's kind, |U| and k.
+``Mult``, ``Proj``, ``Comult``, ``Counit``, ``FockLift``) has one definition:
+the outputs of one input tuple, its inverse for ``Proj`` and ``Comult``, and
+a test of outputs for one input where it has many.  :func:`generator_entries`
+builds it on the values other operands give its ports, carriers elsewhere.
+The planner orders its steps by bounds on entry counts (:func:`_leaf_bound`)
+that read only the generator's kind, |U| and k.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .diagram import (
 )
 from .formula import Atom, Bang, Formula, Over, Under, strip_nabla
 from .model import Model, ModelError, SubsetId
-from .planner import DEFAULT_CELL_BUDGET, Plan, contract_network, extract_network
+from .planner import DEFAULT_CELL_BUDGET, Plan, _getter, contract_network, extract_network
 from .planner import plan_network
 
 STAR = "*"  # the unique inhabitant of the one-point carrier
@@ -267,35 +267,40 @@ _MAPS = _FUNCTIONS + (DetBox, FockLift)
 
 
 def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
-    """The one definition of a generator in ``_MAPS``: (outputs, domain, inputs).
+    """A generator in ``_MAPS``, defined once: (outputs, domain, inputs, related).
 
     ``outputs(ins)`` lists the output tuples related to one input tuple.
     `domain` holds every input tuple that has any output, drawn from the
     input carrier, so the relation is ``outputs`` taken over `domain`.
     ``inputs(outs)``, the inverse, lists the input tuples related to one
     output tuple where outputs determine inputs (``Proj``, ``Comult``).
+    ``related(ins)`` tests output tuples for one input tuple where it has many
+    (``DetBox``, ``FockLift``): a Fock tuple is an image when its items are.
     """
     if isinstance(g, DetBox):
         lifted = isinstance(g.outs[0], FockWire)
+
+        def related(ins):
+            image = m.interp_determiner(g.word, ins[0])
+            return lambda outs: image.issuperset(outs[0][0] if lifted else outs)
+
         return (
             lambda ins: [(x,) for x in _det_images(g.word, lifted, m, k, ins[0])],
             ((a,) for a in m.subsets()),
             None,
+            related,
         )
     if isinstance(g, Mult):
-        return (
-            lambda ins: [(ins[0] & ins[1],)],
-            itertools.product(m.subsets(), repeat=2),
-            None,
-        )
+        return lambda ins: [(ins[0] & ins[1],)], itertools.product(m.subsets(), repeat=2), None, None
     if isinstance(g, Comult):
         return (
             lambda ins: [ins + ins],
             ((a,) for a in _iter_carrier(g.wtype, m, k)),
             lambda outs: [outs[:1]] if outs[0] == outs[1] else [],
+            None,
         )
     if isinstance(g, Counit):
-        return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k)), None
+        return lambda ins: [()], ((a,) for a in _iter_carrier(g.wtype, m, k)), None, None
     if isinstance(g, Proj):  # the n items' values, `width` each, in a row
         base = list(_iter_carrier(g.inner, m, k)) if g.n <= k else []
         width = len(flatten(g.inner))
@@ -311,20 +316,35 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
             return [((items, g.n),)] if g.n <= k else []
 
         domain = (((items, g.n),) for items in itertools.product(base, repeat=g.n))
-        return outputs, domain, inputs
+        return outputs, domain, inputs, None
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
         image: dict = {}
         for t in _witness_counts(g.inner, m, k, budget):
-            image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
+            image.setdefault(_group(t[:n_in]), set()).add(_group(t[n_in:]))
 
         def outputs(ins):
             xs, n = ins[0]
             images = (image.get(x, ()) for x in xs)
             return [((ys, n),) for ys in itertools.product(*images)]
 
-        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None
+        def related(ins):
+            images = [image.get(x, ()) for x in ins[0][0]]
+            return lambda outs: outs[0][1] == ins[0][1] and all(
+                map(operator.contains, images, outs[0][0])
+            )
+
+        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None, related
     raise SemanticsError(f"{g.label} does not map inputs to outputs")
+
+
+def _port_values(ports: range, groups) -> set[tuple]:
+    """The tuples over `ports`, all in some group, whose values each group has."""
+    if len(groups) == 1:
+        return groups[0][1]
+    order = [p for group, _ in groups for p in group]
+    parts = map(itertools.chain.from_iterable, itertools.product(*(v for _, v in groups)))
+    return set(map(_getter([order.index(p) for p in ports]), map(tuple, parts)))
 
 
 def generator_entries(
@@ -332,26 +352,36 @@ def generator_entries(
 ) -> set[tuple]:
     """Flat relation tuples (ins then outs) of a single generator.
 
-    With ``carried = (ports, values)``, only the tuples whose values at
-    those ports (ascending) are in `values`.  Only a generator in ``_MAPS``
-    takes it: at some of its inputs, whose values are taken times the
-    carriers of the others, or at all its outputs, if they determine its
-    inputs (see :func:`_map_of`).
+    With `carried`, (ports, values) pairs of a generator in ``_MAPS``, ports
+    ascending and all inputs or all outputs: the tuples whose values at each
+    pair's ports are among its values.  It lists the outputs of the carried
+    inputs (times the carriers of the rest) and keeps the carried ones or,
+    when all outputs are carried, goes backwards from them if they are
+    fewer, or tests them against each input if fewer than the fanout bound.
     """
-    if carried is not None or isinstance(g, _MAPS):
-        outputs, domain, inputs = _map_of(g, m, k, budget)
-        if carried is not None:
-            ports, values = carried
-            n_in = len(g.ins)
-            if ports[0] >= n_in:
-                return {ins + outs for outs in values for ins in inputs(outs)}
-            rest = [p for p in range(n_in) if p not in ports]
-            carriers = (_iter_carrier(g.ins[p], m, k) for p in rest)
-            fill = list(itertools.product(*carriers))
-            order = [(list(ports) + rest).index(p) for p in range(n_in)]
-            pick = operator.itemgetter(*order) if n_in > 1 else tuple
-            domain = (pick(part + more) for part in set(values) for more in fill)
-        return {ins + outs for ins in domain for outs in outputs(ins)}
+    if isinstance(g, _MAPS):
+        outputs, domain, inputs, related = _map_of(g, m, k, budget)
+        n_in, n_out = len(g.ins), len(g.outs)
+        at_ins = [c for c in carried or () if c[0][0] < n_in]
+        at_outs = [c for c in carried or () if c[0][0] >= n_in]
+        ins = domain
+        if at_ins:  # the carriers of the inputs no pair covers
+            free = set(range(n_in)).difference(*(ports for ports, _ in at_ins))
+            fill = [((p,), [(x,) for x in _iter_carrier(g.ins[p], m, k)]) for p in free]
+            ins = _port_values(range(n_in), at_ins + fill)
+        every_out = sum(len(ports) for ports, _ in at_outs) == n_out
+        outs = _port_values(range(n_in, n_in + n_out), at_outs) if every_out else None
+        if outs is not None and inputs is not None and (ins is domain or len(outs) < len(ins)):
+            entries, unmet = {i + o for o in outs for i in inputs(o)}, at_ins
+        elif outs is not None and related and len(outs) < _carrier_product(g.outs, m.size, k):
+            entries, unmet = {i + o for i in ins for o in filter(related(i), outs)}, ()
+        else:  # the outputs carried, read at once when all of them are
+            entries = {i + o for i in ins for o in outputs(i) if outs is None or o in outs}
+            unmet = at_outs if outs is None else ()
+        for ports, values in unmet:
+            get = _getter(ports)
+            entries = {t for t in entries if get(t) in values}
+        return entries
     if isinstance(g, State):
         return word_entries(g.word, g.formula, m, k)
     if isinstance(g, Unit):

@@ -199,13 +199,15 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     assert steps and all(
         set(s) == {"step", "slots", "build", "entries_in", "entries_out"}
         and s["build"][0] in ("result", "whole")
-        and s["build"][1] in ("result", "whole", "inputs", "some inputs", "outputs")
+        and s["build"][1] in (
+            "result", "whole", "inputs", "some inputs", "outputs", "inputs and outputs"
+        )
         for s in steps
     )
     if sentence == DONKEY:  # its determiners are built from their nouns alone
         assert any(s["build"][1] == "inputs" and s["entries_in"][0] == 1 for s in steps)
-        # Mult from the one input the determiner gives, Proj(2) from its outputs
-        assert {"some inputs", "outputs"} <= {s["build"][1] for s in steps}
+        # Mult and the lifted `a` on every port, Proj(2) from its outputs
+        assert {"inputs and outputs", "outputs"} <= {s["build"][1] for s in steps}
 
 
 @pytest.mark.parametrize(
