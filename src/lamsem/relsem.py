@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -274,24 +273,26 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
     input carrier, so the relation is ``outputs`` taken over `domain`.
     ``inputs(outs)``, the inverse, lists the input tuples related to one
     output tuple where outputs determine inputs (``Proj``, ``Comult``).
-    ``related(ins)`` tests output tuples for one input tuple where it has many
-    (``DetBox``, ``FockLift``): a Fock tuple is an image when its items are.
+    ``related(ins)`` tests output tuples for one input tuple where it has a
+    Fock power of them (a lifted ``DetBox``): a Fock tuple is an image when
+    its items are.
     """
     if isinstance(g, DetBox):
         lifted = isinstance(g.outs[0], FockWire)
 
         def related(ins):
             image = m.interp_determiner(g.word, ins[0])
-            return lambda outs: image.issuperset(outs[0][0] if lifted else outs)
+            return lambda outs: image.issuperset(outs[0][0])
 
         return (
             lambda ins: [(x,) for x in _det_images(g.word, lifted, m, k, ins[0])],
             ((a,) for a in m.subsets()),
             None,
-            related,
+            related if lifted else None,
         )
     if isinstance(g, Mult):
-        return lambda ins: [(ins[0] & ins[1],)], itertools.product(m.subsets(), repeat=2), None, None
+        pairs = itertools.product(m.subsets(), repeat=2)
+        return lambda ins: [(ins[0] & ins[1],)], pairs, None, None
     if isinstance(g, Comult):
         return (
             lambda ins: [ins + ins],
@@ -321,30 +322,25 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
         n_in = len(g.inner.input_types())
         image: dict = {}
         for t in _witness_counts(g.inner, m, k, budget):
-            image.setdefault(_group(t[:n_in]), set()).add(_group(t[n_in:]))
+            image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
 
         def outputs(ins):
             xs, n = ins[0]
             images = (image.get(x, ()) for x in xs)
             return [((ys, n),) for ys in itertools.product(*images)]
 
-        def related(ins):
-            images = [image.get(x, ()) for x in ins[0][0]]
-            return lambda outs: outs[0][1] == ins[0][1] and all(
-                map(operator.contains, images, outs[0][0])
-            )
-
-        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None, related
+        return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None, None
     raise SemanticsError(f"{g.label} does not map inputs to outputs")
 
 
-def _port_values(ports: range, groups) -> set[tuple]:
-    """The tuples over `ports`, all in some group, whose values each group has."""
+def _tuples(groups) -> Iterable[tuple]:
+    """The tuples over the ports of `groups`, ascending, whose values at each
+    group's ports are among its own; listed lazily when there are several."""
     if len(groups) == 1:
         return groups[0][1]
     order = [p for group, _ in groups for p in group]
     parts = map(itertools.chain.from_iterable, itertools.product(*(v for _, v in groups)))
-    return set(map(_getter([order.index(p) for p in ports]), map(tuple, parts)))
+    return map(_getter(sorted(range(len(order)), key=order.__getitem__)), map(tuple, parts))
 
 
 def generator_entries(
@@ -358,26 +354,30 @@ def generator_entries(
     inputs (times the carriers of the rest) and keeps the carried ones or,
     when all outputs are carried, goes backwards from them if they are
     fewer, or tests them against each input if fewer than the fanout bound.
+    It holds no product of several pairs' values, only the tuples it lists.
     """
     if isinstance(g, _MAPS):
         outputs, domain, inputs, related = _map_of(g, m, k, budget)
-        n_in, n_out = len(g.ins), len(g.outs)
+        n_in = len(g.ins)
         at_ins = [c for c in carried or () if c[0][0] < n_in]
         at_outs = [c for c in carried or () if c[0][0] >= n_in]
-        ins = domain
-        if at_ins:  # the carriers of the inputs no pair covers
-            free = set(range(n_in)).difference(*(ports for ports, _ in at_ins))
-            fill = [((p,), [(x,) for x in _iter_carrier(g.ins[p], m, k)]) for p in free]
-            ins = _port_values(range(n_in), at_ins + fill)
-        every_out = sum(len(ports) for ports, _ in at_outs) == n_out
-        outs = _port_values(range(n_in, n_in + n_out), at_outs) if every_out else None
-        if outs is not None and inputs is not None and (ins is domain or len(outs) < len(ins)):
-            entries, unmet = {i + o for o in outs for i in inputs(o)}, at_ins
-        elif outs is not None and related and len(outs) < _carrier_product(g.outs, m.size, k):
-            entries, unmet = {i + o for i in ins for o in filter(related(i), outs)}, ()
-        else:  # the outputs carried, read at once when all of them are
-            entries = {i + o for i in ins for o in outputs(i) if outs is None or o in outs}
-            unmet = at_outs if outs is None else ()
+        ins, n_ins = domain, math.inf
+        if at_ins:  # and the carriers of the inputs no pair covers
+            held = {p for ports, _ in at_ins for p in ports}
+            at_ins += [((p,), [(x,) for x in _iter_carrier(w, m, k)])
+                       for p, w in enumerate(g.ins) if p not in held]
+            ins, n_ins = _tuples(at_ins), math.prod(len(v) for _, v in at_ins)
+        every_out = at_outs and sum(len(ports) for ports, _ in at_outs) == len(g.outs)
+        n_outs = every_out and math.prod(len(v) for _, v in at_outs)
+        if every_out and inputs is not None and n_outs < n_ins:
+            entries, unmet = {i + o for o in _tuples(at_outs) for i in inputs(o)}, at_ins
+        elif every_out and related and n_outs < _carrier_product(g.outs, m.size, k):
+            entries = {i + o for i in ins for o in filter(related(i), _tuples(at_outs))}
+            unmet = ()
+        else:  # the outputs carried, read at once when one pair holds them all
+            one = at_outs[0][1] if every_out and len(at_outs) == 1 else None
+            entries = {i + o for i in ins for o in outputs(i) if one is None or o in one}
+            unmet = at_outs if one is None else ()
         for ports, values in unmet:
             get = _getter(ports)
             entries = {t for t in entries if get(t) in values}

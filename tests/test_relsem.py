@@ -8,6 +8,7 @@ import itertools
 import pickle
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -258,22 +259,23 @@ def test_build_from_inputs_is_the_filtered_relation(size, k, monkeypatch):
     empty set included): at some of its inputs, at all its outputs when
     they determine its inputs, and at any mix of input and output ports,
     one set per port or one over several inputs or several outputs.  When
-    every output is carried and they are fewer than the fanout, a
-    determiner box or a Fock lift tests them against each input instead of
-    listing the outputs."""
+    every output is carried and they are fewer than the fanout, a lifted
+    determiner box tests them against each input instead of listing the
+    outputs, and `Proj` and `Comult` go backwards from them when they are
+    fewer than the inputs."""
     from lamsem.relsem import generator_entries
 
     tested = Counter()
     real = relsem._map_of
 
     def counted(g, *args):
+        """`_map_of`, counting the calls of each generator's inverse and test."""
         outputs, domain, inputs, related = real(g, *args)
 
-        def test(ins):
-            tested[type(g)] += 1
-            return related(ins)
+        def count(f, name):
+            return f and (lambda x: tested.update([(type(g), name)]) or f(x))
 
-        return outputs, domain, inputs, related and test
+        return outputs, domain, count(inputs, "inputs"), count(related, "related")
 
     monkeypatch.setattr(relsem, "_map_of", counted)
     m = map_model(size)
@@ -316,7 +318,8 @@ def test_build_from_inputs_is_the_filtered_relation(size, k, monkeypatch):
                 if all(tuple(t[p] for p in group) in vs for group, vs in carried)
             }
             assert generator_entries(g, m, k, carried) == want, (g.label, carried)
-    assert tested[DetBox] and tested[FockLift]
+    # the lifted determiner box tested, Proj and Comult built backwards
+    assert tested[DetBox, "related"] and tested[Proj, "inputs"] and tested[Comult, "inputs"]
 
 
 # ----------------------------------------------------------- algebraic laws
@@ -765,6 +768,51 @@ def test_budget_below_the_plan_bound_raises_before_building(lexicon, monkeypatch
     lift = FockLift(Diagram((Mult(),), (), ((0, 0), (0, 1)), ((0, 0),)))
     with pytest.raises(DiagramError, match="budget"):
         real(lift, m, 2, None, 10)
+
+
+def test_outputs_carried_from_two_operands_hold_no_product(lexicon, monkeypatch):
+    """A `Comult` or `Proj(2)` built on one input value and on 64 values at
+    each output keeps only the tuples of its relation among them: it never
+    holds the 4,096 pairs of output values, which the plan's bound does not
+    count.  In a plan that builds `Proj(2)` on outputs from two operands, a
+    budget below the bound still raises before anything is built."""
+    from lamsem.relsem import generator_entries
+    from test_vecsem import random_model
+
+    m = map_model(6)
+    subsets = {(x,) for x in interp_object(N, m, 2)}
+    tracemalloc.start()
+    try:
+        pairs = set(itertools.product(subsets, repeat=2))
+        held = tracemalloc.get_traced_memory()[0]
+        del pairs
+        for g in (Comult(), Proj(2, N)):
+            whole = generator_entries(g, m, 2)
+            carried = (((0,), {max(whole)[:1]}), ((1,), subsets), ((2,), subsets))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            got = generator_entries(g, m, 2, carried)
+            assert tracemalloc.get_traced_memory()[1] - before < held / 10, g.label
+            assert got == {t for t in whole if t[:1] in carried[0][1]}
+    finally:
+        tracemalloc.stop()
+    d = sentence_diagram(lexicon, "john owns a donkey he beats it", "s.s", 2)
+    plan = relsem._plan(d, 3, 2)
+    assert any(
+        isinstance(plan.net.tensors[slot].gen, Proj)
+        and len({src for ports, src, _ in groups if ports[0] > 0}) == 2
+        for step in plan.steps
+        for slot, groups in zip(step[:2], step[6:8])
+        if slot < len(plan.net.tensors)
+    )
+    m = random_model(random.Random(7), 3)
+    built = []
+    real = relsem.generator_entries
+    monkeypatch.setattr(relsem, "generator_entries", lambda *a: built.append(a) or real(*a))
+    with pytest.raises(DiagramError, match="budget"):
+        relsem._witness_counts(d, m, 2, plan.bound - 1)
+    assert built == []
+    assert relsem._witness_counts(d, m, 2, plan.bound) == reference_counts(d, m, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
