@@ -9,7 +9,18 @@ emitted tree remains checkable against the rule schemas.
 A sequent not yet in the memo is first given the count check
 :func:`~lamsem.formula.count_excludes_zero`: when some atom's signed count
 cannot balance for any number of ``!`` copies up to k, the sequent is
-unprovable and is memoized as fully explored without trying a rule.
+unprovable and is memoized with no proofs without trying a rule.
+
+The search needs no depth bound.  Every premise of every rule is smaller
+than its conclusion in the multiset order on formula occurrences: the rule
+replaces formulas of the conclusion by their immediate subformulas (at most
+k copies under ``!L``) and may drop others, and rearranging movable formulas
+changes no multiset.  That order is well-founded and each sequent has
+finitely many rule applications, so the search tree is finite, no sequent
+recurs below itself, and the memo, keyed on the sequent alone, is exact.
+Each premise is one nested call, so a search whose premise chains run
+deeper than the interpreter's recursion limit raises ``RecursionError``
+(``lamsem`` reports it as an error, exit 2).
 """
 from __future__ import annotations
 
@@ -95,23 +106,21 @@ class ProofTree:
 @dataclass(frozen=True)
 class SearchConfig:
     k: int = 2
-    depth_limit: int = 64
     max_proofs: int | None = 8  # None: every unique proof
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("copy bound k must be >= 1")
-        if self.depth_limit < 1 or (self.max_proofs is not None and self.max_proofs < 1):
-            raise ValueError("depth_limit and max_proofs must be >= 1")
+        if self.max_proofs is not None and self.max_proofs < 1:
+            raise ValueError("max_proofs must be >= 1")
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Found proofs, plus whether the search space was fully explored.
+    """Found proofs, plus whether every proof was kept.
 
-    ``exhaustive`` distinguishes "definitively unprovable" (empty and
-    exhaustive) from "nothing found before the depth limit cut the search".
-    It is also False when the per-sequent proof cap dropped proofs.
+    ``exhaustive`` is False only when the per-sequent proof cap dropped
+    proofs; an empty exhaustive result means the sequent is unprovable.
     """
 
     proofs: tuple[ProofTree, ...]
@@ -219,9 +228,9 @@ class _Searcher:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        # sequent -> ((proof, class) pairs, exhaustive, depth budget the entry
-        # was computed at); proofs equal up to Perm-node placement share a class
-        self.memo: dict[Sequent, tuple[tuple[tuple[ProofTree, int], ...], bool, int]] = {}
+        # sequent -> (proof, class) pairs; proofs equal up to Perm-node
+        # placement share a class
+        self.memo: dict[Sequent, tuple[tuple[ProofTree, int], ...]] = {}
         # (rule, perm-normalized conclusion, !L copies, premise classes) -> class
         self.classes: dict[tuple, int] = {}
         self.truncated = False  # whether _NODE_CAP dropped any proof
@@ -229,59 +238,46 @@ class _Searcher:
         self.memo_hits = 0
         self.pruned = 0  # distinct sequents cut by count_excludes_zero
 
-    def search(
-        self, seq: Sequent, depth: int
-    ) -> tuple[tuple[tuple[ProofTree, int], ...], bool]:
+    def search(self, seq: Sequent) -> tuple[tuple[ProofTree, int], ...]:
         hit = self.memo.get(seq)
         if hit is not None:
-            proofs, exhaustive, at_depth = hit
-            if exhaustive or at_depth >= depth:
-                self.memo_hits += 1
-                return proofs, exhaustive
-        # each sequent is checked once: one the counts exclude is unprovable at
-        # every depth, so it is memoized as fully explored
-        elif count_excludes_zero(seq, self.cfg.k):
+            self.memo_hits += 1
+            return hit
+        # each sequent is checked once: one the counts exclude is unprovable
+        if count_excludes_zero(seq, self.cfg.k):
             self.pruned += 1
-            self.memo[seq] = ((), True, depth)
-            return (), True
-        if depth <= 0:
-            return (), False
+            self.memo[seq] = ()
+            return ()
         self.nodes += 1
         # every arrangement normalizes alike: only movable formulas move
         norm = perm_normalize(seq)
         proofs: list[tuple[ProofTree, int]] = []
-        exhaustive = True
         for ant, moves in _movable_arrangements(seq.antecedent):
             vseq = Sequent(ant, seq.succedent)
             for rule, data, premise_seqs in self._applications(vseq):
                 head = (rule, norm, tuple(v for k, v in data if k == "n"))
                 sub: list[tuple[tuple[ProofTree, int], ...]] = []
-                ok = True
                 for p in premise_seqs:
-                    found, exh = self.search(p, depth - 1)
-                    if not exh:
-                        exhaustive = False
+                    found = self.search(p)
                     if not found:
-                        ok = False
                         break
                     sub.append(found)
-                if not ok:
-                    continue
-                for combo in itertools.product(*sub):
-                    node = ProofTree(rule, vseq, tuple(p for p, _ in combo), data)
-                    key = (head, tuple(c for _, c in combo))
-                    proof = _wrap_perms(node, seq.antecedent, seq.succedent, moves)
-                    proofs.append((proof, self.classes.setdefault(key, len(self.classes))))
-                    if len(proofs) >= self._NODE_CAP:
-                        self.truncated = True
-                        break
+                else:
+                    for combo in itertools.product(*sub):
+                        node = ProofTree(rule, vseq, tuple(p for p, _ in combo), data)
+                        key = (head, tuple(c for _, c in combo))
+                        proof = _wrap_perms(node, seq.antecedent, seq.succedent, moves)
+                        proofs.append((proof, self.classes.setdefault(key, len(self.classes))))
+                        if len(proofs) >= self._NODE_CAP:
+                            self.truncated = True
+                            break
                 if len(proofs) >= self._NODE_CAP:
                     break
             if len(proofs) >= self._NODE_CAP:
                 break
         result = tuple(proofs)
-        self.memo[seq] = (result, exhaustive, depth)
-        return result, exhaustive
+        self.memo[seq] = result
+        return result
 
     def _applications(
         self, seq: Sequent
@@ -341,7 +337,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     first found of each class up to Perm-node placement, sorted canonically.
     """
     searcher = _Searcher(cfg)
-    raw, exhaustive = searcher.search(seq, cfg.depth_limit)
+    raw = searcher.search(seq)
     first: dict[int, ProofTree] = {}
     for t, c in raw:
         first.setdefault(c, t)
@@ -359,7 +355,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             "unique_proofs": len(unique),
             "capped": searcher.truncated,
         })
-    return SearchResult(tuple(unique[: cfg.max_proofs]), exhaustive and not searcher.truncated)
+    return SearchResult(tuple(unique[: cfg.max_proofs]), not searcher.truncated)
 
 
 # -------------------------------------------------------------- rendering

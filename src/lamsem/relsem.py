@@ -156,11 +156,10 @@ def _entries_to_finrel(
 
 
 def _fock(values: Iterable, k: int) -> Iterator[tuple]:
-    """The Fock elements ``(items, n)`` over `values`, for n = 1..k."""
+    """The Fock elements over `values`: their item tuples, of length 1..k."""
     values = list(values)
     for n in range(1, k + 1):
-        for items in itertools.product(values, repeat=n):
-            yield (items, n)
+        yield from itertools.product(values, repeat=n)
 
 
 def _det_images(word: str, lifted: bool, m: Model, k: int, a: SubsetId) -> list:
@@ -282,7 +281,7 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
 
         def related(ins):
             image = m.interp_determiner(g.word, ins[0])
-            return lambda outs: image.issuperset(outs[0][0])
+            return lambda outs: image.issuperset(outs[0])
 
         return (
             lambda ins: [(x,) for x in _det_images(g.word, lifted, m, k, ins[0])],
@@ -307,16 +306,16 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
         width = len(flatten(g.inner))
 
         def outputs(ins):
-            items, n = ins[0]
-            if n != g.n:
+            items = ins[0]
+            if len(items) != g.n:
                 return []
             return [items if width == 1 else tuple(itertools.chain.from_iterable(items))]
 
         def inputs(outs):
             items = outs if width == 1 else tuple(zip(*[iter(outs)] * width))
-            return [((items, g.n),)] if g.n <= k else []
+            return [(items,)] if g.n <= k else []
 
-        domain = (((items, g.n),) for items in itertools.product(base, repeat=g.n))
+        domain = ((items,) for items in itertools.product(base, repeat=g.n))
         return outputs, domain, inputs, None
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
@@ -325,9 +324,8 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
             image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
 
         def outputs(ins):
-            xs, n = ins[0]
-            images = (image.get(x, ()) for x in xs)
-            return [((ys, n),) for ys in itertools.product(*images)]
+            images = (image.get(x, ()) for x in ins[0])
+            return [(ys,) for ys in itertools.product(*images)]
 
         return outputs, ((x,) for x in _fock(sorted(image, key=repr), k)), None, None
     raise SemanticsError(f"{g.label} does not map inputs to outputs")

@@ -146,7 +146,18 @@ def test_unprovable_word_order():
     seq = parse_sequent("np, np, np\\s/np -> s")
     result = prove(seq, SearchConfig(k=2))
     assert not result.proofs
-    assert result.exhaustive  # definitively unprovable, not a depth cutoff
+    assert result.exhaustive  # no proof was dropped: definitively unprovable
+
+
+def test_deep_sequent_is_proved_without_a_depth_bound():
+    n = 70
+    goal = "np\\s"
+    for _ in range(n - 1):
+        goal = f"np\\({goal})"
+    seq = parse_sequent(", ".join(["np"] * n + [goal]) + " -> s")
+    result = prove(seq, SearchConfig(k=1))
+    assert len(result) == 1 and result.exhaustive
+    assert check_proof_report(result[0], k=1) is None
 
 
 def first_result(lexicon, sentence: str, cfg: SearchConfig):
@@ -339,7 +350,7 @@ _sequents = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_sequents, st.integers(1, 3))
 def test_count_check_holds_on_every_proved_sequent(seq, k):
-    cfg = SearchConfig(k=k, depth_limit=4, max_proofs=None)
+    cfg = SearchConfig(k=k, max_proofs=None)
     stack = list(prove_unpruned(seq, cfg).proofs)
     while stack:
         node = stack.pop()
@@ -361,7 +372,7 @@ _discourses = st.lists(
 @given(st.one_of(_sequents, _discourses), st.integers(1, 3))
 @example(parse_sequent("np/n, n, np\\s/np, !@(!@np/n), n -> s"), 2)
 def test_proof_json_round_trips_on_drawn_sequents(seq, k):
-    for p in prove(seq, SearchConfig(k=k, depth_limit=8, max_proofs=None)):
+    for p in prove(seq, SearchConfig(k=k, max_proofs=None)):
         text = proof_to_json(p)
         again = proof_from_json(text)
         assert again == p
