@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace",
             action="store_true",
             help="print as JSON lines on stderr the counters of each proof search "
-            "(pruned and memo_size count distinct sequents), the rewrites of each "
-            "wiring substitution and each contraction step and the ports it builds on",
+            "(memo_size counts distinct sequents, pruned each sequent cut once and each \\L, "
+            "/L or *R split cut once per arrangement), the rewrites of each wiring "
+            "substitution and each contraction step and the ports it builds on",
         )
         p.set_defaults(fn=fn)
     return parser

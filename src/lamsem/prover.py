@@ -6,10 +6,19 @@ matching any other rule the searcher may move movable formulas to arbitrary
 positions, and every such move is recorded as an explicit Perm node so the
 emitted tree remains checkable against the rule schemas.
 
-A sequent not yet in the memo is first given the count check
-:func:`~lamsem.formula.count_excludes_zero`: when some atom's signed count
-cannot balance for any number of ``!`` copies up to k, the sequent is
-unprovable and is memoized with no proofs without trying a rule.
+Every count verdict is :func:`_excludes` of a count vector: per atom of the
+root, the low ends of the intervals of :func:`~lamsem.formula.count_excludes_zero`,
+then their negated high ends, so that vectors add over formulas and a
+sequent cannot balance exactly when an entry is positive.  ``\\L``, ``/L``
+and ``*R`` give part of their conclusion and one subformula of the active
+formula to each premise, so premise 1's vector is a slice of prefix sums
+plus its goal's and premise 2's is the conclusion's minus premise 1's: a
+split either premise of which cannot balance is dropped unbuilt.  A sequent
+not in the memo that cannot balance is memoized with no proofs; this decides
+only at the root and after ``!L`` and ``!R``, which change the counts, and
+costs one ``max`` since the splits need the total.  The trace counter
+``pruned`` counts each sequent cut before its rules once, and each split
+dropped before its premises once per arrangement that tries it.
 
 The search needs no depth bound.  Every premise of every rule is smaller
 than its conclusion in the multiset order on formula occurrences: the rule
@@ -28,6 +37,7 @@ import itertools
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Iterator
 
 from .formula import (
@@ -39,7 +49,7 @@ from .formula import (
     Sequent,
     Tensor,
     Under,
-    count_excludes_zero,
+    _intervals,
     format_formula,
     format_sequent,
     parse_formula,
@@ -223,10 +233,15 @@ def _wrap_perms(
 TRACE: ContextVar[Callable[[dict], None] | None] = ContextVar("TRACE", default=None)
 
 
+def _excludes(counts: tuple[int, ...]) -> bool:
+    """Whether a count vector puts 0 outside some atom's interval."""
+    return max(counts) > 0
+
+
 class _Searcher:
     _NODE_CAP = 64
 
-    def __init__(self, cfg: SearchConfig):
+    def __init__(self, cfg: SearchConfig, root: Sequent):
         self.cfg = cfg
         # sequent -> (proof, class) pairs; proofs equal up to Perm-node
         # placement share a class
@@ -236,15 +251,35 @@ class _Searcher:
         self.truncated = False  # whether _NODE_CAP dropped any proof
         self.nodes = 0  # sequents whose rules were tried
         self.memo_hits = 0
-        self.pruned = 0  # distinct sequents cut by count_excludes_zero
+        self.pruned = 0  # sequents and splits cut by _excludes
+        # every formula the search meets is built from the root's atoms
+        formulas = (*root.antecedent, root.succedent)
+        self.atoms = sorted({a for f in formulas for a in _intervals(f, 1, cfg.k)})
+        self.vectors: dict[tuple[Formula, int], tuple[int, ...]] = {}
+
+    def counts(self, f: Formula, sign: int) -> tuple[int, ...]:
+        """The count vector of `f` taken with `sign`."""
+        v = self.vectors.get((f, sign))
+        if v is None:
+            ends = [_intervals(f, sign, self.cfg.k).get(a, (0, 0)) for a in self.atoms]
+            v = self.vectors[f, sign] = tuple(lo for lo, _ in ends) + tuple(-hi for _, hi in ends)
+        return v
+
+    def total(self, seq: Sequent) -> tuple[int, ...]:
+        """The count vector of `seq`, its succedent taken with sign -1."""
+        total = self.counts(seq.succedent, -1)
+        for f in seq.antecedent:
+            total = tuple(map(add, total, self.counts(f, 1)))
+        return total
 
     def search(self, seq: Sequent) -> tuple[tuple[ProofTree, int], ...]:
         hit = self.memo.get(seq)
         if hit is not None:
             self.memo_hits += 1
             return hit
+        total = self.total(seq)
         # each sequent is checked once: one the counts exclude is unprovable
-        if count_excludes_zero(seq, self.cfg.k):
+        if _excludes(total):
             self.pruned += 1
             self.memo[seq] = ()
             return ()
@@ -254,7 +289,7 @@ class _Searcher:
         proofs: list[tuple[ProofTree, int]] = []
         for ant, moves in _movable_arrangements(seq.antecedent):
             vseq = Sequent(ant, seq.succedent)
-            for rule, data, premise_seqs in self._applications(vseq):
+            for rule, data, premise_seqs in self._applications(vseq, total):
                 head = (rule, norm, tuple(v for k, v in data if k == "n"))
                 sub: list[tuple[tuple[ProofTree, int], ...]] = []
                 for p in premise_seqs:
@@ -280,10 +315,21 @@ class _Searcher:
         return result
 
     def _applications(
-        self, seq: Sequent
+        self, seq: Sequent, total: tuple[int, ...]
     ) -> Iterator[tuple[str, tuple[tuple[str, int], ...], list[Sequent]]]:
+        """The rule applications to `seq`, of count vector `total`, less unbalanced splits."""
         ant, succ = seq.antecedent, seq.succedent
         n = len(ant)
+        prefix = [(0,) * len(total)]
+        for f in ant:
+            prefix.append(tuple(map(add, prefix[-1], self.counts(f, 1))))
+
+        def cut(first: tuple[int, ...]) -> bool:
+            """Whether premise 1, of count vector `first`, or premise 2 cannot balance."""
+            excluded = _excludes(first) or _excludes(tuple(map(sub, total, first)))
+            self.pruned += excluded
+            return excluded
+
         if n == 1 and ant[0] == succ:
             yield AXIOM, (), []
         for pos, f in enumerate(ant):
@@ -299,7 +345,11 @@ class _Searcher:
                 yield TENSOR_L, (("pos", pos),), [Sequent(premise, succ)]
         for pos, f in enumerate(ant):
             if isinstance(f, Under):
+                # premise 1 is ant[pos - sigma_len : pos] -> f.left
+                end = tuple(map(add, prefix[pos], self.counts(f.left, -1)))
                 for sigma_len in range(1, pos + 1):
+                    if cut(tuple(map(sub, end, prefix[pos - sigma_len]))):
+                        continue
                     sigma = ant[pos - sigma_len : pos]
                     rest = ant[: pos - sigma_len] + (f.right,) + ant[pos + 1 :]
                     yield UNDER_L, (("pos", pos), ("sigma_len", sigma_len)), [
@@ -307,7 +357,11 @@ class _Searcher:
                         Sequent(rest, succ),
                     ]
             elif isinstance(f, Over):
+                # premise 1 is ant[pos + 1 : pos + 1 + sigma_len] -> f.right
+                start = tuple(map(sub, self.counts(f.right, -1), prefix[pos + 1]))
                 for sigma_len in range(1, n - pos):
+                    if cut(tuple(map(add, prefix[pos + 1 + sigma_len], start))):
+                        continue
                     sigma = ant[pos + 1 : pos + 1 + sigma_len]
                     rest = ant[:pos] + (f.left,) + ant[pos + 1 + sigma_len :]
                     yield OVER_L, (("pos", pos), ("sigma_len", sigma_len)), [
@@ -315,7 +369,10 @@ class _Searcher:
                         Sequent(rest, succ),
                     ]
         if isinstance(succ, Tensor):
+            goal = self.counts(succ.left, -1)
             for split in range(1, n):
+                if cut(tuple(map(add, prefix[split], goal))):
+                    continue
                 yield TENSOR_R, (("split", split),), [
                     Sequent(ant[:split], succ.left),
                     Sequent(ant[split:], succ.right),
@@ -336,7 +393,7 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     Returns up to ``cfg.max_proofs`` proofs (every one if it is None): the
     first found of each class up to Perm-node placement, sorted canonically.
     """
-    searcher = _Searcher(cfg)
+    searcher = _Searcher(cfg, seq)
     raw = searcher.search(seq)
     first: dict[int, ProofTree] = {}
     for t, c in raw:

@@ -27,13 +27,14 @@ from lamsem.formula import (
     Under,
     count_excludes_zero,
     format_formula,
+    format_sequent,
     parse_formula,
     parse_sequent,
 )
-from lamsem.lexicon import sentence_to_sequents
+from lamsem.lexicon import Lexicon, sentence_to_sequents
 from lamsem.prover import proof_from_json, proof_to_json, proof_to_text
 
-from conftest import DONKEY, find_proofs
+from conftest import DONKEY, data_path, find_proofs
 
 
 def discourse_provable(n: int, j: int, k: int) -> bool:
@@ -43,10 +44,17 @@ def discourse_provable(n: int, j: int, k: int) -> bool:
 
 
 def prove_unpruned(seq, cfg):
-    """`prove` with the count check switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prover, "count_excludes_zero", lambda s, k: False)
-        return prove(seq, cfg)
+    """`prove` with every count verdict switched off."""
+    traced = []
+    token = prover.TRACE.set(traced.append)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prover, "_excludes", lambda counts: False)
+            result = prove(seq, cfg)
+    finally:
+        prover.TRACE.reset(token)
+    assert traced[0]["pruned"] == 0
+    return result
 
 
 def assert_pruning_changes_nothing(seq, cfg):
@@ -291,6 +299,44 @@ def test_pruning_takes_the_cliff_off_every_farmer_owns_a_donkey():
         assert result.proofs and result.exhaustive
 
 
+# Sentences over the categories of the bundled lexicon: a clause is a noun
+# phrase and a verb phrase, and a discourse one or two clauses.
+_BUNDLED = Lexicon.from_path(data_path("lexicon.json"))
+_CATEGORIES: dict[str, list[str]] = {}
+for _word in sorted(_BUNDLED.entries):
+    for _f in _BUNDLED.formulas(_word):
+        _CATEGORIES.setdefault(format_formula(_f), []).append(_word)
+
+
+def _words(*categories):
+    return st.tuples(*(st.sampled_from(_CATEGORIES[c]) for c in categories)).map(list)
+
+
+_simple_nps = st.one_of(
+    _words("np"), _words("!@np"), _words("@np\\np"), _words("np/n", "n"), _words("!@(!@np/n)", "n")
+)
+_vps = st.one_of(_words("np\\s"), st.builds(list.__add__, _words("np\\s/np"), _simple_nps))
+_relatives = st.builds(
+    lambda head, who, vp: head + who + vp, _simple_nps, _words("np\\np/(np\\s)"), _vps
+)
+_nps = st.one_of(_simple_nps, _relatives)
+_clauses = st.builds(list.__add__, _nps, _vps)
+_NABLAS = {w: c.count("@") for c, ws in _CATEGORIES.items() for w in ws}
+# few `@`: the unpruned search permutes every `@` formula at every node
+_sentences = st.lists(_clauses, min_size=1, max_size=2).filter(
+    lambda cs: sum(map(len, cs)) <= 7 and sum(_NABLAS[w] for c in cs for w in c) <= 2
+).map(lambda cs: (sum(cs, []), ".".join("s" * len(cs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sentences, st.integers(1, 2))
+def test_pruning_keeps_the_proofs_of_drawn_sentences(sentence, k):
+    words, goal = sentence
+    for seq in sentence_to_sequents(words, _BUNDLED, parse_formula(goal, _BUNDLED.atoms)):
+        for p in assert_pruning_changes_nothing(seq, SearchConfig(k=k)):
+            assert check_proof_report(p, k=k) is None, proof_to_text(p)
+
+
 @pytest.mark.parametrize(
     "text, k, excluded",
     [
@@ -382,24 +428,55 @@ def test_proof_json_round_trips_on_drawn_sequents(seq, k):
 def test_each_sequent_is_count_checked_once():
     seq = parse_sequent("!@np, np\\s, @np\\np, np\\s, !@np, np\\s -> s.s.s")
     cfg = SearchConfig(k=2)
-    checked: Counter = Counter()
-    excluded = set()
+    totalled: Counter = Counter()
+    verdicts: Counter = Counter()
+    total, excludes = prover._Searcher.total, prover._excludes
 
-    def counting(s, k):
-        checked[s] += 1
-        if count_excludes_zero(s, k):
-            excluded.add(s)
-            return True
-        return False
+    def counting_total(searcher, s):
+        totalled[s] += 1
+        return total(searcher, s)
+
+    def counting_excludes(counts):
+        verdicts[excludes(counts)] += 1
+        return excludes(counts)
 
     traced = []
     token = prover.TRACE.set(traced.append)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prover, "count_excludes_zero", counting)
+            mp.setattr(prover._Searcher, "total", counting_total)
+            mp.setattr(prover, "_excludes", counting_excludes)
             result = prove(seq, cfg)
     finally:
         prover.TRACE.reset(token)
-    assert checked and max(checked.values()) == 1
-    assert traced[0]["pruned"] == len(excluded) > 0
+    # the entry check sees each sequent the memo lacks, once
+    assert max(totalled.values()) == 1 and len(totalled) == traced[0]["memo_size"]
+    # those that cannot balance are cut there, without trying a rule
+    unbalanced = [s for s in totalled if count_excludes_zero(s, cfg.k)]
+    assert len(unbalanced) == traced[0]["memo_size"] - traced[0]["nodes"]
+    # pruned counts every verdict that cut: those sequents and the dropped splits
+    assert traced[0]["pruned"] == verdicts[True] > len(unbalanced) > 0
     assert [proof_to_text(p) for p in result] == [proof_to_text(p) for p in prove(seq, cfg)]
+
+
+SPLITS = {prover.UNDER_L, prover.OVER_L, prover.TENSOR_R}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_sequents, _discourses), st.integers(1, 3))
+def test_split_check_is_exact(seq, k):
+    """A split is dropped before its premises are built exactly when one of
+    them cannot balance, in every arrangement of every sequent searched."""
+    searcher = prover._Searcher(SearchConfig(k=k), seq)
+    searcher.search(seq)
+    for s in searcher.memo:
+        total = searcher.total(s)
+        for ant, _ in prover._movable_arrangements(s.antecedent):
+            vseq = Sequent(ant, s.succedent)
+            kept = {(rule, data) for rule, data, _ in searcher._applications(vseq, total)}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prover, "_excludes", lambda counts: False)
+                tried = list(searcher._applications(vseq, total))
+            for rule, data, premises in tried:
+                cut = rule in SPLITS and any(count_excludes_zero(p, k) for p in premises)
+                assert ((rule, data) in kept) != cut, (format_sequent(vseq), rule, data)
