@@ -1,9 +1,10 @@
 """lamsem: a Lambek-with-subexponentials grammar and semantics toolkit.
 
 Pipeline: parse a lexicon, prove a sentence sequent with bounded copying
-(!) and permutation (@) modalities, compile the proof to a typed string
-diagram, substitute lexical internal wirings, and evaluate the diagram in
-finite relational or free vector-space semantics.
+(!) and permutation (@) modalities (`prove_sentence`), compile the proof to
+a typed string diagram and substitute lexical internal wirings (`readings`),
+and evaluate the diagram in finite relational or free vector-space
+semantics.
 """
 from .checker import ProofCheckError, check_proof, check_proof_report, verify_proof
 from .diagram import (
@@ -12,6 +13,7 @@ from .diagram import (
     export,
     diagram_from_json,
     proof_to_diagram,
+    readings,
     substitute_wirings,
     swap_erased_key,
     typecheck,
@@ -32,7 +34,7 @@ from .formula import (
     parse_formula,
     parse_sequent,
 )
-from .lexicon import Lexicon, LexiconError, sentence_to_sequents
+from .lexicon import Lexicon, LexiconError, prove_sentence, sentence_to_sequents
 from .model import Model, ModelError
 from .prover import (
     ProofTree,

@@ -13,11 +13,11 @@ from importlib import resources
 from pathlib import Path
 
 from .checker import check_proof_report
-from .diagram import export, proof_to_diagram, substitute_wirings, swap_erased_key
+from .diagram import export, readings
 from .formula import FormulaSyntaxError, format_sequent, parse_formula
-from .lexicon import Lexicon, LexiconError, sentence_to_sequents
+from .lexicon import Lexicon, LexiconError, prove_sentence
 from .model import Model, ModelError
-from .prover import TRACE, SearchConfig, prove, proof_to_json, proof_to_text
+from .prover import TRACE, SearchConfig, proof_to_json, proof_to_text
 from .relsem import MAX_K, SemanticsError, eval_diagram_rel
 from .vecsem import check_equivalence, eval_diagram_vec
 
@@ -54,23 +54,13 @@ def tokenize(sentence: str) -> tuple[list[str], int]:
     return words, max(n_sentences, 1)
 
 
-def _goal_formula(args, n_sentences: int, atoms):
-    if args.goal is not None:
-        return parse_formula(args.goal, atoms)
-    return parse_formula(".".join(["s"] * n_sentences), atoms)
-
-
-def _find_proofs(args, lexicon: Lexicon):
+def _prove(args, lexicon: Lexicon):
+    """The sentence's words and each sequent tried for it, with its result:
+    the last one tried is the parse, if it has a proof."""
     words, n_sentences = tokenize(args.sentence)
-    goal = _goal_formula(args, n_sentences, lexicon.atoms)
-    cfg = SearchConfig(k=args.k)
-    attempts = []
-    for seq in sentence_to_sequents(words, lexicon, goal):
-        result = prove(seq, cfg)
-        attempts.append((seq, result))
-        if result.proofs:
-            return words, attempts, seq, result.proofs
-    return words, attempts, None, ()
+    goal = ".".join(["s"] * n_sentences) if args.goal is None else args.goal
+    goal = parse_formula(goal, lexicon.atoms)
+    return words, prove_sentence(words, lexicon, goal, SearchConfig(k=args.k))
 
 
 def _load_lexicon(args) -> Lexicon:
@@ -92,10 +82,11 @@ def _numbered(path: str, index: int) -> str:
 
 def cmd_prove(args) -> int:
     lexicon = _load_lexicon(args)
-    words, attempts, seq, proofs = _find_proofs(args, lexicon)
+    _, attempts = _prove(args, lexicon)
     for attempted, result in attempts:
         status = f"{len(result.proofs)} proof(s)" if result.proofs else "no proof"
         print(f"sequent: {format_sequent(attempted)}  [{status}]")
+    proofs = attempts[-1][1].proofs
     if not proofs:
         return EXIT_NO
     for i, proof in enumerate(proofs):
@@ -109,25 +100,10 @@ def cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _diagrams(args, lexicon: Lexicon):
-    words, attempts, seq, proofs = _find_proofs(args, lexicon)
-    if not proofs:
-        return words, []
-    # equal raw keys give equal substituted keys, so substitute one per class
-    raw = {}
-    for proof in proofs:
-        d = proof_to_diagram(proof, lexicon, words=words)
-        raw.setdefault(swap_erased_key(d), d)
-    out = {}
-    for d in raw.values():
-        s = substitute_wirings(d, lexicon)
-        out.setdefault(swap_erased_key(s), s)
-    return words, list(out.values())
-
-
 def cmd_diagram(args) -> int:
     lexicon = _load_lexicon(args)
-    words, diagrams = _diagrams(args, lexicon)
+    words, attempts = _prove(args, lexicon)
+    diagrams = readings(attempts[-1][1].proofs, lexicon, words)
     if not diagrams:
         print("no proof: nothing to draw", file=sys.stderr)
         return EXIT_NO
@@ -145,7 +121,8 @@ def cmd_diagram(args) -> int:
 def cmd_eval(args) -> int:
     lexicon = _load_lexicon(args)
     model = _load_model(args)
-    words, diagrams = _diagrams(args, lexicon)
+    words, attempts = _prove(args, lexicon)
+    diagrams = readings(attempts[-1][1].proofs, lexicon, words)
     if not diagrams:
         print("ungrammatical: no derivation found", file=sys.stderr)
         return EXIT_ERROR

@@ -1132,6 +1132,23 @@ def swap_erased_key(d: Diagram):
     )
 
 
+def readings(
+    proofs: Sequence[ProofTree], lex: Lexicon, words: Sequence[str]
+) -> list[Diagram]:
+    """The sentence's readings: the distinct substituted diagrams of `proofs`,
+    by :func:`swap_erased_key`, in first-seen order."""
+    # equal raw keys give equal substituted keys, so substitute one per class
+    raw = {}
+    for proof in proofs:
+        d = proof_to_diagram(proof, lex, words=words)
+        raw.setdefault(swap_erased_key(d), d)
+    out = {}
+    for d in raw.values():
+        s = substitute_wirings(d, lex)
+        out.setdefault(swap_erased_key(s), s)
+    return list(out.values())
+
+
 # ---------------------------------------------------------------- export
 
 

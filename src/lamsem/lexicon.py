@@ -1,4 +1,5 @@
-"""Lexicon loading and sentence-to-sequent expansion."""
+"""Lexicon loading, sentence-to-sequent expansion, and the choice of the
+sequent a sentence is parsed with."""
 from __future__ import annotations
 
 import itertools
@@ -18,6 +19,7 @@ from .formula import (
     matrix,
     parse_formula,
 )
+from .prover import SearchConfig, SearchResult, prove
 
 WIRING_PLAIN = "plain"
 WIRING_RELPRO = "relpro-subject"
@@ -130,3 +132,18 @@ def sentence_to_sequents(
     """One sequent per choice of formula for each (possibly ambiguous) word."""
     choices = [lexicon.formulas(w) for w in words]
     return [Sequent(tuple(combo), goal) for combo in itertools.product(*choices)]
+
+
+def prove_sentence(
+    words: list[str], lexicon: Lexicon, goal: Formula, cfg: SearchConfig
+) -> list[tuple[Sequent, SearchResult]]:
+    """Each sequent tried and its search result, in :func:`sentence_to_sequents`
+    order, up to and including the first that has a proof: that one is the
+    sentence's parse.  If none has a proof, every sequent is tried."""
+    attempts = []
+    for seq in sentence_to_sequents(words, lexicon, goal):
+        result = prove(seq, cfg)
+        attempts.append((seq, result))
+        if result.proofs:
+            break
+    return attempts

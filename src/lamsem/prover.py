@@ -41,7 +41,6 @@ from operator import add, sub
 from typing import Callable, Iterator
 
 from .formula import (
-    Atom,
     Bang,
     Formula,
     Nabla,
@@ -53,7 +52,6 @@ from .formula import (
     format_formula,
     format_sequent,
     parse_formula,
-    parse_sequent,
 )
 
 AXIOM = "Axiom"
@@ -68,23 +66,6 @@ BANG_R = "!R"
 NABLA_L = "@L"
 NABLA_R = "@R"
 PERM = "Perm"
-
-RULES = frozenset(
-    {
-        AXIOM,
-        UNDER_L,
-        OVER_L,
-        TENSOR_L,
-        UNDER_R,
-        OVER_R,
-        TENSOR_R,
-        BANG_L,
-        BANG_R,
-        NABLA_L,
-        NABLA_R,
-        PERM,
-    }
-)
 
 
 @dataclass(frozen=True)

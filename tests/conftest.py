@@ -15,8 +15,7 @@ from lamsem import (
     Model,
     SearchConfig,
     proof_to_diagram,
-    prove,
-    sentence_to_sequents,
+    prove_sentence,
     substitute_wirings,
 )
 from lamsem.formula import parse_formula
@@ -65,15 +64,12 @@ def model_donkey_false() -> Model:
     return Model.from_path(data_path("model_donkey_false.json"))
 
 
-def find_proofs(lexicon: Lexicon, sentence: str, goal: str = "s", k: int = 2):
-    """All proofs of the first provable sequent reading of the sentence."""
+def find_proofs(lexicon: Lexicon, sentence: str, goal="s", k=2, max_proofs=SearchConfig.max_proofs):
+    """The sentence's words and the proofs of its parse (none if it has none)."""
     words = sentence.split()
     goal_f = parse_formula(goal, lexicon.atoms)
-    for seq in sentence_to_sequents(words, lexicon, goal_f):
-        result = prove(seq, SearchConfig(k=k))
-        if result.proofs:
-            return words, result.proofs
-    return words, ()
+    _, result = prove_sentence(words, lexicon, goal_f, SearchConfig(k, max_proofs))[-1]
+    return words, result.proofs
 
 
 def sentence_diagram(lexicon: Lexicon, sentence: str, goal: str = "s", k: int = 2):

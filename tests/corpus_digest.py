@@ -10,10 +10,10 @@ SHA-256 over ``json.dumps(record, sort_keys=True)`` of each, in order: two
 trees that print it alike also searched, substituted and counted alike.
 
 For each ``CORPUS`` sentence in order and each k = 1, 2, 3 it takes the
-first provable sequent, searches it with the default ``SearchConfig`` and,
-at k <= 2, a second time for every unique proof.  For each proof it feeds
-the JSON and then the DOT export of the raw diagram, then of the
-substituted one.
+sequent that :func:`lamsem.prove_sentence` parses it with, searched with
+the default ``SearchConfig``, and at k <= 2 searches it a second time for
+every unique proof.  For each proof it feeds the JSON and then the DOT
+export of the raw diagram, then of the substituted one.
 
 The third line is computed after the trace channel is reset, so the first
 two do not depend on it.  It is the number of evaluations and one SHA-256
@@ -35,7 +35,7 @@ from lamsem import (
     export,
     proof_to_diagram,
     prove,
-    sentence_to_sequents,
+    prove_sentence,
     substitute_wirings,
 )
 from lamsem.formula import parse_formula
@@ -53,11 +53,9 @@ def corpus_digest() -> tuple[int, str]:
         words = sentence.split()
         goal_f = parse_formula(goal, lexicon.atoms)
         for k in (1, 2, 3):
-            for seq in sentence_to_sequents(words, lexicon, goal_f):
-                proofs = prove(seq, SearchConfig(k=k)).proofs
-                if proofs:
-                    break
-            else:
+            seq, result = prove_sentence(words, lexicon, goal_f, SearchConfig(k=k))[-1]
+            proofs = result.proofs
+            if not proofs:
                 continue
             if k <= 2:
                 proofs += prove(seq, SearchConfig(k=k, max_proofs=None)).proofs

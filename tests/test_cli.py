@@ -7,13 +7,13 @@ import pytest
 from conftest import DONKEY, data_path
 
 from lamsem import (
+    Lexicon,
     SearchConfig,
     diagram_from_json,
     parse_formula,
     proof_from_json,
     proof_to_diagram,
-    prove,
-    sentence_to_sequents,
+    prove_sentence,
     swap_erased_key,
 )
 from lamsem.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main, tokenize
@@ -175,14 +175,14 @@ def test_eval_float_backend(capsys):
     assert "vec: 32.0" in out
 
 
-@pytest.mark.parametrize(
-    "sentence, model",
-    [
-        (DONKEY, "model_donkey_true.json"),
-        (DONKEY, "model_donkey_false.json"),
-        ("dogs eat snacks", "model_dogs.json"),
-    ],
-)
+EVALUATED = [
+    (DONKEY, "model_donkey_true.json"),
+    (DONKEY, "model_donkey_false.json"),
+    ("dogs eat snacks", "model_dogs.json"),
+]
+
+
+@pytest.mark.parametrize("sentence, model", EVALUATED)
 def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
     argv = ("eval", sentence, "--model", str(data_path(model)), "--backend", "both")
     code, out, err = run(capsys, *argv)
@@ -210,14 +210,7 @@ def test_eval_trace_prints_json_steps_on_stderr_only(capsys, sentence, model):
         assert {"inputs and outputs", "outputs"} <= {s["build"][1] for s in steps}
 
 
-@pytest.mark.parametrize(
-    "sentence, model",
-    [
-        (DONKEY, "model_donkey_true.json"),
-        (DONKEY, "model_donkey_false.json"),
-        ("dogs eat snacks", "model_dogs.json"),
-    ],
-)
+@pytest.mark.parametrize("sentence, model", EVALUATED)
 def test_both_backends_trace_each_contraction_once(capsys, sentence, model):
     """Both readings come from one contraction, so `--backend both` traces
     the steps that `--backend rel` does."""
@@ -266,15 +259,11 @@ def test_trace_prints_search_counters_on_stderr_only(capsys, command, sentence):
 
 
 def raw_classes(lexicon, sentence: str) -> set:
-    """The `swap_erased_key` classes of the raw diagrams of the proofs that
-    `prove` returns for the first provable sequent of `sentence`."""
+    """The `swap_erased_key` classes of the raw diagrams of the parse's proofs."""
     words, n_sentences = tokenize(sentence)
     goal = parse_formula(".".join(["s"] * n_sentences), lexicon.atoms)
-    for seq in sentence_to_sequents(words, lexicon, goal):
-        proofs = prove(seq, SearchConfig()).proofs
-        if proofs:
-            return {swap_erased_key(proof_to_diagram(p, lexicon, words=words)) for p in proofs}
-    return set()
+    _, result = prove_sentence(words, lexicon, goal, SearchConfig())[-1]
+    return {swap_erased_key(proof_to_diagram(p, lexicon, words=words)) for p in result}
 
 
 @pytest.mark.parametrize(
@@ -300,6 +289,24 @@ def test_diagram_trace_prints_rewrite_counts(capsys, lexicon, sentence, fired):
     assert len(rewrites) == len(raw_classes(lexicon, sentence))
     want = dict.fromkeys(REWRITE_NAMES, 0) | fired
     assert all(r == want for r in rewrites)
+
+
+def test_an_ambiguous_word_is_read_with_its_first_provable_formula(capsys, tmp_path):
+    data = Lexicon.from_path(data_path("lexicon.json")).to_dict()
+    ambiguous, intransitive = tmp_path / "ambiguous.json", tmp_path / "intransitive.json"
+    for path, eat in ((ambiguous, ["np\\s", "np\\s/np"]), (intransitive, ["np\\s"])):
+        path.write_text(json.dumps({**data, "words": {**data["words"], "eat": eat}}))
+    code, out, _ = run(capsys, "prove", "dogs eat snacks", "--lexicon", str(ambiguous))
+    assert code == EXIT_OK and out.startswith(
+        "sequent: np, np\\s, np -> s  [no proof]\n"
+        "sequent: np, np\\s/np, np -> s  [1 proof(s)]\n--- proof 1 ---\n"
+    )
+    for command in ("diagram", "eval"):  # the bundled `eat` is np\s/np alone
+        plain = run(capsys, command, "dogs eat snacks")
+        assert run(capsys, command, "dogs eat snacks", "--lexicon", str(ambiguous)) == plain
+    code, out, _ = run(capsys, "prove", "dogs eat snacks", "--lexicon", str(intransitive))
+    assert (code, out) == (EXIT_NO, "sequent: np, np\\s, np -> s  [no proof]\n")
+    assert run(capsys, "eval", "dogs eat snacks", "--lexicon", str(intransitive))[0] == EXIT_ERROR
 
 
 def test_eval_ungrammatical_is_an_error(capsys):

@@ -24,24 +24,21 @@ from lamsem import (
     DiagramError,
     Lexicon,
     Model,
-    SearchConfig,
     check_proof_report,
     diagram_from_json,
     export,
     proof_to_diagram,
-    prove,
-    sentence_to_sequents,
+    readings,
     substitute_wirings,
     swap_erased_key,
     typecheck,
 )
-from lamsem.formula import parse_formula
 from lamsem.planner import DEFAULT_CELL_BUDGET
 from lamsem.prover import proof_to_text
 from lamsem.relsem import SemanticsError, _witness_counts, eval_diagram_rel
 from lamsem.vecsem import eval_diagram_vec
 
-from conftest import DONKEY, data_path
+from conftest import DONKEY, data_path, find_proofs
 from reference import reference_counts
 from test_vecsem import random_model
 
@@ -70,23 +67,12 @@ CORPUS = (
 PRONOUN_WORDS = {"he", "it"}
 
 
-def _first_proofs(lexicon, words, goal, k, max_proofs=SearchConfig.max_proofs):
-    """The proofs of the first provable sequent reading, or ()."""
-    goal_f = parse_formula(goal, lexicon.atoms)
-    for seq in sentence_to_sequents(words, lexicon, goal_f):
-        result = prove(seq, SearchConfig(k=k, max_proofs=max_proofs))
-        if result.proofs:
-            return result.proofs
-    return ()
-
-
 @pytest.mark.parametrize("k", (1, 2, 3))
 @pytest.mark.parametrize(
-    "sentence,goal,readings", CORPUS, ids=[s for s, _, _ in CORPUS]
+    "sentence,goal,n_readings", CORPUS, ids=[s for s, _, _ in CORPUS]
 )
-def test_corpus_invariants(lexicon, sentence, goal, readings, k):
-    words = sentence.split()
-    proofs = _first_proofs(lexicon, words, goal, k)
+def test_corpus_invariants(lexicon, sentence, goal, n_readings, k):
+    words, proofs = find_proofs(lexicon, sentence, goal, k)
     if k == 1 and PRONOUN_WORDS & set(words):
         assert not proofs
         return
@@ -101,7 +87,7 @@ def test_corpus_invariants(lexicon, sentence, goal, readings, k):
         for d in (raw, sub):
             assert diagram_from_json(export(d, "json"), lexicon.atoms) == d
         keys.add(swap_erased_key(sub))
-    assert len(keys) == readings
+    assert len(keys) == len(readings(proofs, lexicon, words)) == n_readings
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -109,11 +95,11 @@ def test_corpus_invariants(lexicon, sentence, goal, readings, k):
     "sentence,goal", [(s, g) for s, g, _ in CORPUS], ids=[s for s, _, _ in CORPUS]
 )
 def test_each_raw_class_substitutes_into_one_class(lexicon, sentence, goal, k):
-    """Equal raw keys give equal substituted keys, which lets the CLI
+    """Equal raw keys give equal substituted keys, which lets `readings`
     substitute one diagram per raw class."""
-    words = sentence.split()
+    words, proofs = find_proofs(lexicon, sentence, goal, k, max_proofs=None)
     classes: dict = {}
-    for p in _first_proofs(lexicon, words, goal, k, max_proofs=None):
+    for p in proofs:
         raw = proof_to_diagram(p, lexicon, words=words)
         sub = substitute_wirings(raw, lexicon)
         classes.setdefault(swap_erased_key(raw), set()).add(swap_erased_key(sub))
@@ -147,10 +133,9 @@ MODELS = tuple(random_model(_rng, size) for size in (2, 2, 3, 3))
     "sentence,goal", [(s, g) for s, g, _ in CORPUS], ids=[s for s, _, _ in CORPUS]
 )
 def test_corpus_witness_counts(lexicon, sentence, goal, k):
-    words = sentence.split()
+    words, proofs = find_proofs(lexicon, sentence, goal, k)
     diagrams = {
-        substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon)
-        for p in _first_proofs(lexicon, words, goal, k)
+        substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon) for p in proofs
     }
     for d in diagrams:
         for m in MODELS:
@@ -166,9 +151,9 @@ def corpus_diagrams() -> tuple:
     lexicon = Lexicon.from_path(data_path("lexicon.json"))
     out: dict = {}
     for sentence, goal, _ in CORPUS:
-        words = sentence.split()
         for k in (1, 2, 3):
-            for p in _first_proofs(lexicon, words, goal, k):
+            words, proofs = find_proofs(lexicon, sentence, goal, k)
+            for p in proofs:
                 raw = proof_to_diagram(p, lexicon, words=words)
                 out.setdefault(substitute_wirings(raw, lexicon), None)
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Lexicon loading, wiring tags, and sentence-to-sequent expansion."""
+"""Lexicon loading, wiring tags, sentences to sequents, and their parse."""
 import pytest
 
 from lamsem.formula import Atom, parse_formula
@@ -10,8 +10,10 @@ from lamsem.lexicon import (
     WIRING_PLAIN,
     WIRING_PRONOUN,
     WIRING_RELPRO,
+    prove_sentence,
     sentence_to_sequents,
 )
+from lamsem.prover import SearchConfig, prove
 
 
 def test_bundled_lexicon_words(lexicon):
@@ -60,6 +62,16 @@ def test_sentence_to_sequents_product(lexicon):
         parse_formula("np\\s/np"),
         Atom("np"),
     ]
+
+
+def test_prove_sentence_stops_at_the_first_provable_sequent(lexicon):
+    eat = tuple(map(parse_formula, ("np\\s", "np\\s/np", "np\\(s/np)")))
+    lex = Lexicon(lexicon.atoms, {**lexicon.entries, "eat": eat}, lexicon.wirings)
+    cfg, s = SearchConfig(), Atom("s")
+    for words, tried in ((["dogs", "eat", "snacks"], 2), (["dogs", "eat", "snacks", "snacks"], 3)):
+        want = [(seq, prove(seq, cfg)) for seq in sentence_to_sequents(words, lex, s)[:tried]]
+        assert prove_sentence(words, lex, s, cfg) == want
+        assert [bool(result) for _, result in want] == [False] * (tried - 1) + [tried == 2]
 
 
 def test_round_trip_to_dict(lexicon):
