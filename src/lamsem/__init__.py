@@ -3,10 +3,10 @@
 Pipeline: parse a lexicon, prove a sentence sequent with bounded copying
 (!) and permutation (@) modalities (`prove_sentence`), compile the proof to
 a typed string diagram and substitute lexical internal wirings (`readings`),
-and evaluate the diagram in finite relational or free vector-space
-semantics.
+and contract the diagram once over a finite model (`evaluate`), read as a
+finite relation (`eval_diagram_rel`) or a witness count (`eval_diagram_vec`).
 """
-from .checker import ProofCheckError, check_proof, check_proof_report, verify_proof
+from .checker import ProofCheckError, check_proof_report, verify_proof
 from .diagram import (
     Diagram,
     DiagramError,
@@ -16,7 +16,6 @@ from .diagram import (
     readings,
     substitute_wirings,
     swap_erased_key,
-    typecheck,
     typecheck_report,
 )
 from .formula import (
@@ -49,6 +48,7 @@ from .relsem import (
     FinRel,
     SemanticsError,
     eval_diagram_rel,
+    evaluate,
     generator_rel,
     interp_object,
     interp_word_rel,

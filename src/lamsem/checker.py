@@ -172,15 +172,6 @@ def verify_proof(t: ProofTree, k: int = 2) -> None:
         verify_proof(p, k)
 
 
-def check_proof(t: ProofTree, k: int = 2) -> bool:
-    """True iff every node is a valid rule instance and leaves are axioms."""
-    try:
-        verify_proof(t, k)
-    except ProofCheckError:
-        return False
-    return True
-
-
 def check_proof_report(t: ProofTree, k: int = 2) -> str | None:
     """None if the proof checks; otherwise the first failure's diagnostic."""
     try:

@@ -1,7 +1,16 @@
 """Command line front end: prove sentences, export diagrams, evaluate truth.
 
-Exit codes form a total contract: 0 = proved / true, 1 = not proved /
-false, 2 = error (including ungrammatical input to `eval`).
+Every command takes a sentence and ``--lexicon``, ``--goal``, ``--k`` and
+``--trace``; each other flag belongs to the commands that read it:
+
+- ``prove``: ``--export-json``;
+- ``diagram``: ``--export-json`` and ``--export-dot``;
+- ``eval``: ``--model`` and ``--backend``.
+
+Exit codes form a total contract: 0 = proved / true (and ``--help``),
+1 = not proved / false, 2 = error (including ungrammatical input to
+`eval`, and a flag the command does not take).  :func:`main` returns the
+code and raises no ``SystemExit``.
 """
 from __future__ import annotations
 
@@ -135,7 +144,7 @@ def cmd_eval(args) -> int:
             truth = rel.nonempty
             parts.append(f"rel: {'true' if truth else 'false'}")
         if args.backend in ("vec", "both"):
-            scalar = eval_diagram_vec(d, model, args.k, use_float=args.float)
+            scalar = eval_diagram_vec(d, model, args.k)
             if truth is None:
                 truth = scalar != 0
             parts.append(f"vec: {scalar}")
@@ -147,6 +156,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK if any_true else EXIT_NO
 
 
+_TRACED = (
+    "print on stderr as JSON lines the counters of each proof search (memo_size counts distinct "
+    "sequents, pruned each sequent cut once and each \\L, /L or *R split cut once per arrangement)"
+)
+_REWRITES = ", then the rewrites of each wiring substitution"
+
+
+def _export_help(fmt: str, what: str) -> str:
+    return f"write the {fmt} of {what} 1 to PATH and of {what} i to PATH's stem + -i + suffix"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -154,25 +174,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lambek-with-subexponentials prover, diagrams, and semantics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("prove", cmd_prove), ("eval", cmd_eval), ("diagram", cmd_diagram)):
-        p = sub.add_parser(name)
+    for name, fn, about, traced in (
+        ("prove", cmd_prove, "print the derivations of a sentence", ""),
+        ("eval", cmd_eval, "evaluate each reading of a sentence on a model",
+         _REWRITES + ", then each contraction step and the ports it builds on"),
+        ("diagram", cmd_diagram,
+         "draw each reading of a sentence as a string diagram (DOT on stdout unless exported)",
+         _REWRITES),
+    ):
+        p = sub.add_parser(name, help=about, description=about)
         p.add_argument("sentence")
-        p.add_argument("--lexicon", default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--goal", default=None)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--backend", choices=("rel", "vec", "both"), default="rel")
-        p.add_argument("--export-dot", default=None)
-        p.add_argument("--export-json", default=None)
-        p.add_argument("--float", action="store_true")
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            help="print as JSON lines on stderr the counters of each proof search "
-            "(memo_size counts distinct sequents, pruned each sequent cut once and each \\L, "
-            "/L or *R split cut once per arrangement), the rewrites of each wiring "
-            "substitution and each contraction step and the ports it builds on",
-        )
+        p.add_argument("--lexicon", metavar="PATH", help="lexicon JSON (default: the bundled one)")
+        p.add_argument("--goal", metavar="FORMULA",
+                       help="goal formula (default: s.s...s, one s per period-ended sentence)")
+        p.add_argument("--k", type=int, default=2, help=f"copy bound of ! (1..{MAX_K}, default 2)")
+        p.add_argument("--trace", action="store_true", help=_TRACED + traced)
+        if name == "eval":
+            p.add_argument("--model", metavar="PATH",
+                           help="model JSON (default: the bundled dogs model)")
+            p.add_argument("--backend", choices=("rel", "vec", "both"), default="rel",
+                           help="print the relational truth, the vector witness count, "
+                           "or both and whether they agree")
+        else:
+            what = "proof" if name == "prove" else "diagram"
+            p.add_argument("--export-json", metavar="PATH", help=_export_help("JSON", what))
+        if name == "diagram":
+            p.add_argument("--export-dot", metavar="PATH", help=_export_help("DOT", "diagram"))
         p.set_defaults(fn=fn)
     return parser
 
@@ -182,7 +209,10 @@ def _print_trace(record: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or --help
+        return EXIT_ERROR if exc.code else EXIT_OK
     token = TRACE.set(_print_trace if args.trace else None)
     try:
         if not 1 <= args.k <= MAX_K:

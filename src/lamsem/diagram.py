@@ -455,10 +455,6 @@ def typecheck_report(d: Diagram) -> Optional[str]:
     return None
 
 
-def typecheck(d: Diagram) -> bool:
-    return typecheck_report(d) is None
-
-
 # ---------------------------------------------------------------- mutable form
 
 

@@ -34,7 +34,7 @@ class Model:
     )
     universe_cap: int = DEFAULT_UNIVERSE_CAP
 
-    # relsem._witness_counts keeps the counts of the last evaluation on the model
+    # relsem.evaluate keeps the counts of the last evaluation on the model
     __getstate__ = _fields_only
 
     def __post_init__(self) -> None:

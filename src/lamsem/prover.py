@@ -108,26 +108,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Found proofs, plus whether every proof was kept.
+    """Found proofs, plus whether every proof was surely kept.
 
-    ``exhaustive`` is False only when the per-sequent proof cap dropped
-    proofs; an empty exhaustive result means the sequent is unprovable.
+    ``exhaustive`` is False when some sequent's proofs reached the
+    per-sequent proof cap, so proofs may have been dropped; an empty
+    exhaustive result means the sequent is unprovable.
     """
 
     proofs: tuple[ProofTree, ...]
     exhaustive: bool
-
-    def __iter__(self) -> Iterator[ProofTree]:
-        return iter(self.proofs)
-
-    def __len__(self) -> int:
-        return len(self.proofs)
-
-    def __bool__(self) -> bool:
-        return bool(self.proofs)
-
-    def __getitem__(self, i: int) -> ProofTree:
-        return self.proofs[i]
 
 
 def perm_normalize(s: Sequent) -> Sequent:
@@ -229,7 +218,7 @@ class _Searcher:
         self.memo: dict[Sequent, tuple[tuple[ProofTree, int], ...]] = {}
         # (rule, perm-normalized conclusion, !L copies, premise classes) -> class
         self.classes: dict[tuple, int] = {}
-        self.truncated = False  # whether _NODE_CAP dropped any proof
+        self.truncated = False  # whether some sequent's proofs reached _NODE_CAP
         self.nodes = 0  # sequents whose rules were tried
         self.memo_hits = 0
         self.pruned = 0  # sequents and splits cut by _excludes

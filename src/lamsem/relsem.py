@@ -5,7 +5,7 @@ set, ``FockWire(w)`` = the disjoint union of powers 1..k of w's carrier),
 words and generators denote finite relations, and a sentence diagram
 evaluates to a relation from the one-point set to itself: the sentence is
 true iff that relation is non-empty.  A diagram's relation is computed as the
-support of its exact witness counts (:func:`_witness_counts`), the same
+support of its exact witness counts (:func:`evaluate`), the same
 contraction whose sum is the vector semantics.
 
 A generator that maps inputs to outputs (``_MAPS``: determiner boxes,
@@ -320,7 +320,7 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
         image: dict = {}
-        for t in _witness_counts(g.inner, m, k, budget):
+        for t in evaluate(g.inner, m, k, budget):
             image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
 
         def outputs(ins):
@@ -432,13 +432,14 @@ def _plan(d: Diagram, size: int, k: int) -> Plan:
     )
 
 
-def _witness_counts(
+def evaluate(
     d: Diagram, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> dict[tuple, int]:
     """Witness count of each boundary tuple (ins then outs) of a diagram.
 
-    The one evaluation both backends share: the diagram's relation is the
-    set of keys, its vector scalar (when closed) the sum of the values.
+    The one evaluation both backends read: the diagram's relation
+    (:func:`eval_diagram_rel`) is the set of keys, its vector scalar
+    (:func:`lamsem.vecsem.eval_diagram_vec`, when closed) the sum of the values.
     Only the generator entries are built from `m`; the plan is reused.
     `m` keeps the counts of its last evaluation, so a second reading of the
     same ``(d, k, budget)`` does not contract again; the returned dict is
@@ -469,9 +470,6 @@ def eval_diagram_rel(
     relation from the one-point carrier to itself; the sentence is true
     iff the relation is non-empty.
     """
-    entries = _witness_counts(d, m, k, budget)
+    entries = evaluate(d, m, k, budget)
     return _entries_to_finrel(entries, d.input_types(), d.output_types())
 
-
-def rel_true(r: FinRel) -> bool:
-    return r.nonempty

@@ -3,12 +3,10 @@
 Every word and generator denotes the indicator tensor of its finite
 relation (entry 1 at each tuple of :func:`lamsem.relsem.word_entries` or
 :func:`lamsem.relsem.generator_entries`).  A sentence diagram contracts to
-a single scalar that counts the relational witnesses.  It is read off the
-same exact integer contraction that gives the relational semantics
-(:func:`lamsem.relsem._witness_counts`), whose relation is the support of
-the counts, so the scalar is non-zero exactly when the relation is
-non-empty.  The model keeps those counts, so reading the scalar after the
-relation of the same diagram does not contract again.
+one scalar, the sum of the witness counts of :func:`lamsem.relsem.evaluate`,
+whose support is the relational semantics: the scalar is non-zero exactly
+when the relation is non-empty.  The model keeps those counts, so reading the
+scalar after the relation of a diagram does not contract again.
 """
 from __future__ import annotations
 
@@ -18,30 +16,19 @@ from .model import Model
 # contract_network is re-exported: bench/tracing.py wraps every module's
 # binding of it, and bench/test_bench.py expects one here.
 from .planner import DEFAULT_CELL_BUDGET, contract_network  # noqa: F401
-from .relsem import DEFAULT_K, FinRel, SemanticsError, _witness_counts
+from .relsem import DEFAULT_K, FinRel, SemanticsError, evaluate
 
 
 def eval_diagram_vec(
-    d: Diagram,
-    m: Model,
-    k: int = DEFAULT_K,
-    budget: int = DEFAULT_CELL_BUDGET,
-    use_float: bool = False,
-) -> int | float:
-    """Contract the full tensor network of a closed sentence diagram.
-
-    Returns the witness count as an exact non-negative integer (or that
-    count as a float when `use_float` is set — the default is exact because
-    the truth criterion is "non-zero").
-    """
+    d: Diagram, m: Model, k: int = DEFAULT_K, budget: int = DEFAULT_CELL_BUDGET
+) -> int:
+    """The witness count of a closed sentence diagram, an exact integer."""
     if d.inputs:
         raise SemanticsError("scalar evaluation needs a closed diagram")
-    # remaining free axes are output wires; sum them out to a scalar
-    total = sum(_witness_counts(d, m, k, budget).values())
-    return float(total) if use_float else total
+    return sum(evaluate(d, m, k, budget).values())
 
 
-def check_equivalence(rel: FinRel, scalar: int | float) -> bool:
+def check_equivalence(rel: FinRel, scalar: int) -> bool:
     """True iff the vector scalar is non-zero exactly when Rel is true.
 
     Both readings come from the same exact contraction, so this checks the

@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import DONKEY, data_path
 
+import lamsem
 from lamsem import (
     Lexicon,
     SearchConfig,
@@ -160,21 +166,6 @@ def test_eval_donkey_true_model(capsys):
     assert "rel: true, vec: 32, equivalent: True" in out
 
 
-def test_eval_float_backend(capsys):
-    code, out, err = run(
-        capsys,
-        "eval",
-        DONKEY,
-        "--model",
-        str(data_path("model_donkey_true.json")),
-        "--backend",
-        "vec",
-        "--float",
-    )
-    assert code == EXIT_OK
-    assert "vec: 32.0" in out
-
-
 EVALUATED = [
     (DONKEY, "model_donkey_true.json"),
     (DONKEY, "model_donkey_false.json"),
@@ -263,7 +254,7 @@ def raw_classes(lexicon, sentence: str) -> set:
     words, n_sentences = tokenize(sentence)
     goal = parse_formula(".".join(["s"] * n_sentences), lexicon.atoms)
     _, result = prove_sentence(words, lexicon, goal, SearchConfig())[-1]
-    return {swap_erased_key(proof_to_diagram(p, lexicon, words=words)) for p in result}
+    return {swap_erased_key(proof_to_diagram(p, lexicon, words=words)) for p in result.proofs}
 
 
 @pytest.mark.parametrize(
@@ -361,6 +352,64 @@ def test_copy_bound_range_is_checked_for_every_command(capsys, command, k):
     code, out, err = run(capsys, command, "dogs eat snacks", "--k", k)
     assert code == EXIT_ERROR
     assert "copy bound k must be in 1..3" in err
+
+
+# ------------------------------------------------------------------- flags
+
+# the flags each command reads, besides its sentence
+READS = {
+    "prove": {"--lexicon", "--goal", "--k", "--trace", "--export-json"},
+    "diagram": {"--lexicon", "--goal", "--k", "--trace", "--export-json", "--export-dot"},
+    "eval": {"--lexicon", "--goal", "--k", "--trace", "--model", "--backend"},
+}
+# a value for each flag some command reads, and for --float, which none does
+VALUES = {
+    "--lexicon": "lexicon.json", "--goal": "s", "--k": "2", "--trace": None,
+    "--export-json": "out.json", "--export-dot": "out.dot", "--model": "model.json",
+    "--backend": "rel", "--float": None,
+}
+
+
+def with_value(flag: str) -> tuple:
+    return (flag,) if VALUES[flag] is None else (flag, VALUES[flag])
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c in READS for f in VALUES if f not in READS[c]]
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, command, flag
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "dogs eat snacks", *with_value(flag))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("usage:") and "unrecognized arguments" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("prove", "dogs eat snacks", "--model", "/nonexistent"),
+     ("eval", "dogs eat snacks", "--export-json", "f")],
+    ids=["prove---model", "eval---export-json"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error_from_the_shell(tmp_path, argv):
+    src = str(Path(lamsem.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "lamsem.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+    assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_flags_the_command_reads(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert set(re.findall(r"--[a-z-]+", out)) == READS[command] | {"--help"}
 
 
 # ------------------------------------------------------------- determinism

@@ -9,7 +9,8 @@ each substituted diagram counts the witnesses that the brute-force
 evaluator in ``reference.py`` counts, whatever order the model lists its
 universe in.  Proofs whose raw diagrams are equal up to swaps give
 substituted diagrams that are too, and the counts a model keeps from its
-last evaluation are those a fresh model computes.
+last evaluation are those a fresh model computes.  The last test alone pins
+outputs: the digests of ``corpus_digest.py``.
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ from lamsem import (
     readings,
     substitute_wirings,
     swap_erased_key,
-    typecheck,
+    typecheck_report,
 )
 from lamsem.planner import DEFAULT_CELL_BUDGET
 from lamsem.prover import proof_to_text
-from lamsem.relsem import SemanticsError, _witness_counts, eval_diagram_rel
+from lamsem.relsem import SemanticsError, eval_diagram_rel, evaluate
 from lamsem.vecsem import eval_diagram_vec
 
 from conftest import DONKEY, data_path, find_proofs
@@ -81,7 +82,7 @@ def test_corpus_invariants(lexicon, sentence, goal, n_readings, k):
     for p in proofs:
         assert check_proof_report(p, k=k) is None, proof_to_text(p)
         raw = proof_to_diagram(p, lexicon, words=words)
-        assert typecheck(raw)
+        assert typecheck_report(raw) is None
         sub = substitute_wirings(raw, lexicon)
         assert substitute_wirings(sub, lexicon) == sub
         for d in (raw, sub):
@@ -132,16 +133,16 @@ MODELS = tuple(random_model(_rng, size) for size in (2, 2, 3, 3))
 @pytest.mark.parametrize(
     "sentence,goal", [(s, g) for s, g, _ in CORPUS], ids=[s for s, _, _ in CORPUS]
 )
-def test_corpus_witness_counts(lexicon, sentence, goal, k):
+def test_corpusevaluate(lexicon, sentence, goal, k):
     words, proofs = find_proofs(lexicon, sentence, goal, k)
     diagrams = {
         substitute_wirings(proof_to_diagram(p, lexicon, words=words), lexicon) for p in proofs
     }
     for d in diagrams:
         for m in MODELS:
-            counts = _witness_counts(d, m, k)
+            counts = evaluate(d, m, k)
             assert counts == reference_counts(d, m, k)
-            relabelled = _witness_counts(d, reversed_model(m), k)
+            relabelled = evaluate(d, reversed_model(m), k)
             assert sorted(relabelled.values()) == sorted(counts.values())
 
 
@@ -161,7 +162,7 @@ def corpus_diagrams() -> tuple:
 
 # shared by every example, so that each reads what earlier calls kept
 SHARED_MODELS = (random_model(random.Random(5), 2), random_model(random.Random(6), 3))
-READINGS = (_witness_counts, eval_diagram_rel, eval_diagram_vec)
+READINGS = (evaluate, eval_diagram_rel, eval_diagram_vec)
 
 
 def _outcome(read, d, m, k, budget):
@@ -191,3 +192,19 @@ def test_kept_counts_are_never_stale(data):
     for read, d, m, k, budget in calls:
         fresh = dataclasses.replace(m)
         assert _outcome(read, d, m, k, budget) == _outcome(read, d, fresh, k, budget)
+
+
+def test_corpus_and_evaluation_digests_are_pinned():
+    """The proofs, their JSON and DOT exports and the evaluations of the
+    corpus are byte-identical to those pinned here (see ``corpus_digest.py``).
+
+    A pinned value changes only with a reason in CHANGES.md.
+    """
+    from corpus_digest import corpus_digest, evaluation_digest
+
+    assert corpus_digest() == (
+        1001, "9dee11791186a3bae3ac22c8c4b5066999953d829a8dc8ea62149728643c0860"
+    )
+    assert evaluation_digest() == (
+        312, "1234bac89f1f45492df1d7cff31a41b359fc397c7ccc1b22c9e194cf8395ccc5"
+    )

@@ -71,7 +71,7 @@ def test_prove_sentence_stops_at_the_first_provable_sequent(lexicon):
     for words, tried in ((["dogs", "eat", "snacks"], 2), (["dogs", "eat", "snacks", "snacks"], 3)):
         want = [(seq, prove(seq, cfg)) for seq in sentence_to_sequents(words, lex, s)[:tried]]
         assert prove_sentence(words, lex, s, cfg) == want
-        assert [bool(result) for _, result in want] == [False] * (tried - 1) + [tried == 2]
+        assert [bool(result.proofs) for _, result in want] == [False] * (tried - 1) + [tried == 2]
 
 
 def test_round_trip_to_dict(lexicon):

@@ -10,13 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lamsem import (
     SearchConfig,
-    check_proof,
     check_proof_report,
     proof_to_diagram,
     prove,
     prove_sentence,
     prover,
-    typecheck,
+    typecheck_report,
 )
 from lamsem.formula import (
     Atom,
@@ -61,7 +60,7 @@ def prove_unpruned(seq, cfg):
 def assert_pruning_changes_nothing(seq, cfg):
     """Same proofs in the same order; `exhaustive` only False -> True."""
     pruned, unpruned = prove(seq, cfg), prove_unpruned(seq, cfg)
-    assert [proof_to_text(p) for p in pruned] == [proof_to_text(p) for p in unpruned]
+    assert [proof_to_text(p) for p in pruned.proofs] == [proof_to_text(p) for p in unpruned.proofs]
     assert pruned.exhaustive or not unpruned.exhaustive
     return pruned
 
@@ -112,7 +111,7 @@ def test_all_search_outputs_pass_checker(lexicon):
         _, proofs = find_proofs(lexicon, sentence, goal=goal, k=3)
         assert proofs, sentence
         for p in proofs:
-            assert check_proof(p, k=3), proof_to_text(p)
+            assert check_proof_report(p, k=3) is None, proof_to_text(p)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -131,9 +130,9 @@ def test_every_enumerated_proof_checks_and_compiles(lexicon, sentence, goal, k):
     words = sentence.split()
     goal_f = parse_formula(goal, lexicon.atoms)
     for seq in sentence_to_sequents(words, lexicon, goal_f):
-        for p in prove(seq, SearchConfig(k=k, max_proofs=None)):
+        for p in prove(seq, SearchConfig(k=k, max_proofs=None)).proofs:
             assert check_proof_report(p, k=k) is None, proof_to_text(p)
-            assert typecheck(proof_to_diagram(p, lexicon, words=words))
+            assert typecheck_report(proof_to_diagram(p, lexicon, words=words)) is None
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -165,8 +164,8 @@ def test_deep_sequent_is_proved_without_a_depth_bound():
         goal = f"np\\({goal})"
     seq = parse_sequent(", ".join(["np"] * n + [goal]) + " -> s")
     result = prove(seq, SearchConfig(k=1))
-    assert len(result) == 1 and result.exhaustive
-    assert check_proof_report(result[0], k=1) is None
+    assert len(result.proofs) == 1 and result.exhaustive
+    assert check_proof_report(result.proofs[0], k=1) is None
 
 
 def test_proof_cap_is_reported_as_not_exhaustive(lexicon):
@@ -238,7 +237,7 @@ def test_proof_json_round_trip():
     proof = prove(seq, SearchConfig(k=2)).proofs[0]
     again = proof_from_json(proof_to_json(proof))
     assert again == proof
-    assert check_proof(again, k=2)
+    assert check_proof_report(again, k=2) is None
 
 
 def test_invalid_k_rejected():
@@ -326,7 +325,7 @@ _sentences = st.lists(_clauses, min_size=1, max_size=2).filter(
 def test_pruning_keeps_the_proofs_of_drawn_sentences(sentence, k):
     words, goal = sentence
     for seq in sentence_to_sequents(words, _BUNDLED, parse_formula(goal, _BUNDLED.atoms)):
-        for p in assert_pruning_changes_nothing(seq, SearchConfig(k=k)):
+        for p in assert_pruning_changes_nothing(seq, SearchConfig(k=k)).proofs:
             assert check_proof_report(p, k=k) is None, proof_to_text(p)
 
 
@@ -422,7 +421,7 @@ _discourses = st.lists(
 @given(st.one_of(_sequents, _discourses), st.integers(1, 3))
 @example(parse_sequent("np/n, n, np\\s/np, !@(!@np/n), n -> s"), 2)
 def test_proof_json_round_trips_on_drawn_sequents(seq, k):
-    for p in prove(seq, SearchConfig(k=k, max_proofs=None)):
+    for p in prove(seq, SearchConfig(k=k, max_proofs=None)).proofs:
         text = proof_to_json(p)
         again = proof_from_json(text)
         assert again == p
@@ -460,7 +459,8 @@ def test_each_sequent_is_count_checked_once():
     assert len(unbalanced) == traced[0]["memo_size"] - traced[0]["nodes"]
     # pruned counts every verdict that cut: those sequents and the dropped splits
     assert traced[0]["pruned"] == verdicts[True] > len(unbalanced) > 0
-    assert [proof_to_text(p) for p in result] == [proof_to_text(p) for p in prove(seq, cfg)]
+    again = prove(seq, cfg).proofs
+    assert [proof_to_text(p) for p in result.proofs] == [proof_to_text(p) for p in again]
 
 
 SPLITS = {prover.UNDER_L, prover.OVER_L, prover.TENSOR_R}

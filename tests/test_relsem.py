@@ -49,7 +49,7 @@ from lamsem.diagram import (
 )
 from lamsem.formula import parse_formula
 from lamsem.prover import TRACE
-from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel, rel_true
+from lamsem.relsem import STAR, SemanticsError, _entries_to_finrel
 
 ATOMS = ("np", "n", "s")
 N = NWire()
@@ -493,13 +493,13 @@ def _tuple_images(values: tuple, rel: set) -> list:
 def test_transitive_sentence_truth(lexicon, model_dogs):
     d = sentence_diagram(lexicon, "dogs eat snacks")
     r = eval_diagram_rel(d, model_dogs)
-    assert rel_true(r)
+    assert r.nonempty
     assert r.pairs == frozenset({(STAR, STAR)})
 
 
 def test_quantified_sentence_truth(lexicon, model_dogs):
     d = sentence_diagram(lexicon, "every dog eats snacks")
-    assert rel_true(eval_diagram_rel(d, model_dogs))
+    assert eval_diagram_rel(d, model_dogs).nonempty
 
 
 def test_relative_clause_denotes_intersection(lexicon, model_dogs):
@@ -511,8 +511,8 @@ def test_relative_clause_denotes_intersection(lexicon, model_dogs):
 
 def test_donkey_on_bundled_models(lexicon, model_donkey_true, model_donkey_false):
     d = sentence_diagram(lexicon, DONKEY)
-    assert rel_true(eval_diagram_rel(d, model_donkey_true))
-    assert not rel_true(eval_diagram_rel(d, model_donkey_false))
+    assert eval_diagram_rel(d, model_donkey_true).nonempty
+    assert not eval_diagram_rel(d, model_donkey_false).nonempty
     assert donkey_oracle(model_donkey_true)
     assert not donkey_oracle(model_donkey_false)
 
@@ -539,7 +539,7 @@ def test_donkey_oracle_sweep(lexicon):
     trues = 0
     for _ in range(500):
         m = random_donkey_model(rng)
-        got = rel_true(eval_diagram_rel(d, m, k=2))
+        got = eval_diagram_rel(d, m, k=2).nonempty
         assert got == donkey_oracle(m)
         trues += got
     elapsed = time.monotonic() - start
@@ -549,7 +549,7 @@ def test_donkey_oracle_sweep(lexicon):
 
 def test_eval_rejects_bad_k(lexicon, model_dogs):
     d = sentence_diagram(lexicon, "dogs eat snacks")
-    assert rel_true(eval_diagram_rel(d, model_dogs, k=3))  # caches its plan
+    assert eval_diagram_rel(d, model_dogs, k=3).nonempty  # caches its plan
     for k in (0, 4, 9):
         with pytest.raises(SemanticsError):
             eval_diagram_rel(d, model_dogs, k=k)
@@ -608,7 +608,7 @@ def test_plan_is_built_once_per_size_and_k(lexicon, monkeypatch):
     rng = random.Random(23)
     for _ in range(5):
         m = random_donkey_model(rng)
-        assert rel_true(eval_diagram_rel(d, m)) == donkey_oracle(m)
+        assert eval_diagram_rel(d, m).nonempty == donkey_oracle(m)
     assert calls == {"typecheck_report": 1, "extract_network": 1}
 
 
@@ -637,7 +637,7 @@ def test_rel_then_vec_contracts_once(lexicon, monkeypatch):
     rel = eval_diagram_rel(d, m)
     assert eval_diagram_vec(d, m) == sum(reference_counts(d, m, 2).values())
     assert len(calls) == 1
-    assert rel_true(rel) == donkey_oracle(m)
+    assert rel.nonempty == donkey_oracle(m)
     # an equal diagram is the same key
     assert eval_diagram_vec(diagram_from_json(export(d, "json")), m) and len(calls) == 1
     other = sentence_diagram(lexicon, "every farmer owns a donkey")
@@ -700,8 +700,8 @@ def test_donkey_matches_the_reference_at_four_entities(lexicon):
             continue
         seen[truth] += 1
         want = reference_counts(d, m, 2)
-        assert relsem._witness_counts(d, m, 2) == want
-        assert bool(want) == truth == rel_true(eval_diagram_rel(d, m, 2))
+        assert relsem.evaluate(d, m, 2) == want
+        assert bool(want) == truth == eval_diagram_rel(d, m, 2).nonempty
 
 
 def test_donkey_builds_few_generator_entries(lexicon, monkeypatch):
@@ -743,7 +743,7 @@ def test_donkey_builds_few_generator_entries(lexicon, monkeypatch):
 
     def entries_built(m: Model) -> int:
         built.clear()
-        assert rel_true(eval_diagram_rel(d, m, 2)) == donkey_oracle(m)
+        assert eval_diagram_rel(d, m, 2).nonempty == donkey_oracle(m)
         return sum(built)
 
     for m in models + [everything]:
@@ -762,7 +762,7 @@ def test_budget_below_the_plan_bound_raises_before_building(lexicon, monkeypatch
     with pytest.raises(DiagramError, match="budget"):
         eval_diagram_rel(d, m, 2, budget=bound - 1)
     assert built == []
-    assert rel_true(eval_diagram_rel(d, m, 2, budget=bound)) == donkey_oracle(m)
+    assert eval_diagram_rel(d, m, 2, budget=bound).nonempty == donkey_oracle(m)
     assert built
     # a Fock-lifted diagram is evaluated under the same budget
     lift = FockLift(Diagram((Mult(),), (), ((0, 0), (0, 1)), ((0, 0),)))
@@ -810,9 +810,9 @@ def test_outputs_carried_from_two_operands_hold_no_product(lexicon, monkeypatch)
     real = relsem.generator_entries
     monkeypatch.setattr(relsem, "generator_entries", lambda *a: built.append(a) or real(*a))
     with pytest.raises(DiagramError, match="budget"):
-        relsem._witness_counts(d, m, 2, plan.bound - 1)
+        relsem.evaluate(d, m, 2, plan.bound - 1)
     assert built == []
-    assert relsem._witness_counts(d, m, 2, plan.bound) == reference_counts(d, m, 2)
+    assert relsem.evaluate(d, m, 2, plan.bound) == reference_counts(d, m, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -828,7 +828,7 @@ def test_default_budget_evaluates_the_donkey_up_to_six_entities(lexicon, k):
         seen = []
         token = TRACE.set(lambda r: seen.extend(r["entries_in"] + [r["entries_out"]]))
         try:
-            assert rel_true(eval_diagram_rel(d, m, k)) == donkey_oracle(m)
+            assert eval_diagram_rel(d, m, k).nonempty == donkey_oracle(m)
         finally:
             TRACE.reset(token)
         assert 0 < max(seen) <= bound
@@ -874,7 +874,7 @@ def test_donkey_past_the_default_cap_builds_within_the_plan_bound(lexicon, size)
             records = []
             token = TRACE.set(records.append)
             try:
-                assert rel_true(eval_diagram_rel(d, m, k)) == truth
+                assert eval_diagram_rel(d, m, k).nonempty == truth
             finally:
                 TRACE.reset(token)
             sizes = {}  # entries of each slot, as the trace reports them
