@@ -9,8 +9,8 @@ Every command takes a sentence and ``--lexicon``, ``--goal``, ``--k`` and
 
 Exit codes form a total contract: 0 = proved / true (and ``--help``),
 1 = not proved / false, 2 = error (including ungrammatical input to
-`eval`, and a flag the command does not take).  :func:`main` returns the
-code and raises no ``SystemExit``.
+`eval`, a flag the command does not take and an abbreviated flag).
+:func:`main` returns the code and raises no ``SystemExit``.
 """
 from __future__ import annotations
 
@@ -172,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamsem",
         description="Lambek-with-subexponentials prover, diagrams, and semantics",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, about, traced in (
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
          "draw each reading of a sentence as a string diagram (DOT on stdout unless exported)",
          _REWRITES),
     ):
-        p = sub.add_parser(name, help=about, description=about)
+        p = sub.add_parser(name, help=about, description=about, allow_abbrev=False)
         p.add_argument("sentence")
         p.add_argument("--lexicon", metavar="PATH", help="lexicon JSON (default: the bundled one)")
         p.add_argument("--goal", metavar="FORMULA",
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--export-json", metavar="PATH", help=_export_help("JSON", what))
         if name == "diagram":
             p.add_argument("--export-dot", metavar="PATH", help=_export_help("DOT", "diagram"))
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, error=p.error)
     return parser
 
 
@@ -210,7 +211,9 @@ def _print_trace(record: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # reported with the usage of the command, not of lamsem
+            args.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse has printed the usage error or --help
         return EXIT_ERROR if exc.code else EXIT_OK
     token = TRACE.set(_print_trace if args.trace else None)

@@ -116,15 +116,6 @@ class Lexicon:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "atoms": sorted(self.atoms),
-            "words": {
-                w: [format_formula(f) for f in fs] for w, fs in sorted(self.entries.items())
-            },
-            "wirings": dict(sorted(self.wirings.items())),
-        }
-
 
 def sentence_to_sequents(
     words: list[str], lexicon: Lexicon, goal: Formula

@@ -67,7 +67,7 @@ class Model:
                             " outside universe"
                         )
 
-    # -------------------------------------------------------- conversions
+    # ------------------------------------------------------------ subsets
 
     @property
     def size(self) -> int:
@@ -76,21 +76,6 @@ class Model:
     @property
     def full_set(self) -> SubsetId:
         return (1 << len(self.universe)) - 1
-
-    def entity_index(self, name: str) -> int:
-        try:
-            return self.universe.index(name)
-        except ValueError:
-            raise ModelError(f"unknown entity {name!r}") from None
-
-    def subset_id(self, names: list[str] | tuple[str, ...]) -> SubsetId:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.entity_index(name)
-        return mask
-
-    def subset_names(self, subset: SubsetId) -> list[str]:
-        return [e for i, e in enumerate(self.universe) if subset >> i & 1]
 
     def subsets(self) -> Iterator[SubsetId]:
         return iter(range(1 << len(self.universe)))
@@ -129,7 +114,7 @@ class Model:
             return frozenset(x for x in self.subsets() if x & a)
         return frozenset(b for a2, b in det if a2 == a)
 
-    # -------------------------------------------------------- serialization
+    # -------------------------------------------------------------- loading
 
     @classmethod
     def from_dict(cls, d: dict, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> "Model":
@@ -193,22 +178,3 @@ class Model:
     ) -> "Model":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh), universe_cap=universe_cap)
-
-    def to_dict(self) -> dict:
-        def names(subset: SubsetId) -> list[str]:
-            return self.subset_names(subset)
-
-        out: dict = {"universe": list(self.universe)}
-        out["unary"] = {k: names(v) for k, v in sorted(self.unary.items())}
-        out["binary"] = {
-            k: sorted([self.universe[x], self.universe[y]] for x, y in v)
-            for k, v in sorted(self.binary.items())
-        }
-        dets: dict = {}
-        for k, v in sorted(self.determiners.items()):
-            if isinstance(v, str):
-                dets[k] = v
-            else:
-                dets[k] = sorted([names(a), names(b)] for a, b in v)
-        out["determiners"] = dets
-        return out

@@ -13,12 +13,13 @@ are lazy: each is built at the first step that takes it, and one that maps
 inputs to outputs only on the values its wires already take in another
 operand, port by port: a semi-join, so counts stay exact.  The greedy pair
 order ranks steps by upper bounds on the entries they build and output, given
-per generator by the caller; their maximum is checked against the cell budget
-before anything is built.  A plan reads the model only through carrier sizes
-and those bounds, so relsem caches one per (diagram, |U|, k) and runs it on
-every model.  While the one trace channel :data:`lamsem.prover.TRACE` holds
-a callable, each contraction step reports its slots, how each side is built
-and its entry counts to it.
+per generator by the caller; their maximum is the plan's ``bound``, which
+:func:`lamsem.relsem.evaluate` checks against the cell budget
+:data:`lamsem.relsem.CELL_BUDGET` before anything is built.  A plan reads the
+model only through carrier sizes and those bounds, so relsem caches one per
+(diagram, |U|, k) and runs it on every model.  While the one trace channel
+:data:`lamsem.prover.TRACE` holds a callable, each contraction step reports
+its slots, how each side is built and its entry counts to it.
 """
 from __future__ import annotations
 
@@ -32,15 +33,12 @@ from .diagram import (
     Cap,
     Cup,
     Diagram,
-    DiagramError,
     Generator,
     Id,
     Swap,
     WireType,
 )
 from .prover import TRACE
-
-DEFAULT_CELL_BUDGET = 10**7
 
 
 @dataclass
@@ -164,7 +162,8 @@ class Plan:
     (ports, source slot, getter), a leaf being built only on the distinct
     tuples each getter takes from its source at those ports; and how each
     side is built (see :func:`plan_network`).  ``bound`` bounds the entries
-    of every tensor the plan builds or outputs.
+    of every tensor the plan builds or outputs; ``loop_scalar`` is the
+    product of the carrier sizes of the network's closed wire loops.
     """
 
     net: Network
@@ -172,6 +171,7 @@ class Plan:
     steps: tuple[tuple, ...]
     reorder: Getter
     bound: int
+    loop_scalar: int
 
 
 def _leaf(tn: TensorNode):
@@ -319,14 +319,13 @@ def plan_network(
         slot += 1
     last = live[0][1] if live else []
     reorder = _getter([last.index(a) for a in net.free if a in last])
-    return Plan(net, tuple(leaves), tuple(steps), reorder, peak)
+    # a closed wire loop traces to its carrier size
+    loop_scalar = prod(size_of(w) for w in net.loops)
+    return Plan(net, tuple(leaves), tuple(steps), reorder, peak, loop_scalar)
 
 
 def contract_network(
-    plan: Plan,
-    relation_of: Callable[[TensorNode, Sequence], Iterable[tuple]],
-    size_of: Callable[[WireType], int],
-    cell_budget: int = DEFAULT_CELL_BUDGET,
+    plan: Plan, relation_of: Callable[[TensorNode, Sequence], Iterable[tuple]]
 ) -> dict[tuple, int]:
     """Contract a planned network down to a tensor over the free wires.
 
@@ -335,14 +334,8 @@ def contract_network(
     values at the ports of each (ports, values) pair in `carried` are among
     its values.  The result maps each boundary tuple (in boundary order) to
     its witness count, a positive integer; tuples with no witness are absent.
-    A plan whose bound exceeds `cell_budget` raises :class:`DiagramError`
-    before anything is built.
     """
     net = plan.net
-    if plan.bound > cell_budget:
-        raise DiagramError(
-            f"contraction bound {plan.bound} exceeds the {cell_budget} budget"
-        )
     slots: list[dict[tuple, int] | None] = [None] * len(net.tensors)
 
     def operand(slot: int, groups=()) -> dict[tuple, int]:
@@ -379,8 +372,6 @@ def contract_network(
                 "entries_in": [len(t1), len(t2)],
                 "entries_out": len(out),
             })
-    # a closed wire loop traces to its carrier size
-    loop_scalar = prod(size_of(w) for w in net.loops)
     last = slots[-1] if plan.steps else operand(0) if slots else {(): 1}
     result = _sum_by(last, plan.reorder)
-    return {k: v * loop_scalar for k, v in result.items()}
+    return {k: v * plan.loop_scalar for k, v in result.items()}

@@ -14,7 +14,9 @@ the outputs of one input tuple, its inverse for ``Proj`` and ``Comult``, and
 a test of outputs for one input where it has many.  :func:`generator_entries`
 builds it on the values other operands give its ports, carriers elsewhere.
 The planner orders its steps by bounds on entry counts (:func:`_leaf_bound`)
-that read only the generator's kind, |U| and k.
+that read only the generator's kind, |U| and k.  :func:`evaluate` checks the
+plan's bound against :data:`CELL_BUDGET` before it builds anything, and
+:func:`interp_object` checks a carrier's size against it.
 """
 from __future__ import annotations
 
@@ -52,14 +54,14 @@ from .diagram import (
 )
 from .formula import Atom, Bang, Formula, Over, Under, strip_nabla
 from .model import Model, ModelError, SubsetId
-from .planner import DEFAULT_CELL_BUDGET, Plan, _getter, contract_network, extract_network
-from .planner import plan_network
+from .planner import Plan, _getter, contract_network, extract_network, plan_network
 
 STAR = "*"  # the unique inhabitant of the one-point carrier
 
 DEFAULT_K = 2
 MAX_K = 3
 PLAN_CACHE_SIZE = 256  # contraction plans kept, one per (diagram, |U|, k)
+CELL_BUDGET = 10**7  # most entries a plan may build or output, or a carrier hold
 
 
 class SemanticsError(ValueError):
@@ -90,16 +92,14 @@ def _carrier_product(ws: Iterable[WireType], size: int, k: int) -> int:
     return math.prod(carrier_size(w, size, k) for w in ws)
 
 
-def interp_object(
-    w: WireType, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
-) -> list:
+def interp_object(w: WireType, m: Model, k: int) -> list:
     """The finite carrier denoted by a wire type, canonically ordered."""
     if k < 1 or k > MAX_K:
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
     size = carrier_size(w, m.size, k)
-    if size > budget:
+    if size > CELL_BUDGET:
         raise SemanticsError(
-            f"carrier of size {size} for {w!r} exceeds the {budget} budget"
+            f"carrier of size {size} for {w!r} exceeds the {CELL_BUDGET} budget"
         )
     return list(_iter_carrier(w, m, k))
 
@@ -264,7 +264,7 @@ _FUNCTIONS = (Mult, Comult, Counit, Proj)
 _MAPS = _FUNCTIONS + (DetBox, FockLift)
 
 
-def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
+def _map_of(g: Generator, m: Model, k: int):
     """A generator in ``_MAPS``, defined once: (outputs, domain, inputs, related).
 
     ``outputs(ins)`` lists the output tuples related to one input tuple.
@@ -320,7 +320,7 @@ def _map_of(g: Generator, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET):
     if isinstance(g, FockLift):
         n_in = len(g.inner.input_types())
         image: dict = {}
-        for t in evaluate(g.inner, m, k, budget):
+        for t in evaluate(g.inner, m, k):
             image.setdefault(_group(t[:n_in]), []).append(_group(t[n_in:]))
 
         def outputs(ins):
@@ -341,9 +341,7 @@ def _tuples(groups) -> Iterable[tuple]:
     return map(_getter(sorted(range(len(order)), key=order.__getitem__)), map(tuple, parts))
 
 
-def generator_entries(
-    g: Generator, m: Model, k: int, carried=None, budget: int = DEFAULT_CELL_BUDGET
-) -> set[tuple]:
+def generator_entries(g: Generator, m: Model, k: int, carried=None) -> set[tuple]:
     """Flat relation tuples (ins then outs) of a single generator.
 
     With `carried`, (ports, values) pairs of a generator in ``_MAPS``, ports
@@ -355,7 +353,7 @@ def generator_entries(
     It holds no product of several pairs' values, only the tuples it lists.
     """
     if isinstance(g, _MAPS):
-        outputs, domain, inputs, related = _map_of(g, m, k, budget)
+        outputs, domain, inputs, related = _map_of(g, m, k)
         n_in = len(g.ins)
         at_ins = [c for c in carried or () if c[0][0] < n_in]
         at_outs = [c for c in carried or () if c[0][0] >= n_in]
@@ -432,44 +430,43 @@ def _plan(d: Diagram, size: int, k: int) -> Plan:
     )
 
 
-def evaluate(
-    d: Diagram, m: Model, k: int, budget: int = DEFAULT_CELL_BUDGET
-) -> dict[tuple, int]:
+def evaluate(d: Diagram, m: Model, k: int) -> dict[tuple, int]:
     """Witness count of each boundary tuple (ins then outs) of a diagram.
 
     The one evaluation both backends read: the diagram's relation
     (:func:`eval_diagram_rel`) is the set of keys, its vector scalar
     (:func:`lamsem.vecsem.eval_diagram_vec`, when closed) the sum of the values.
-    Only the generator entries are built from `m`; the plan is reused.
-    `m` keeps the counts of its last evaluation, so a second reading of the
-    same ``(d, k, budget)`` does not contract again; the returned dict is
-    shared and must not be changed.
+    Only the generator entries are built from `m`; the plan is reused.  A
+    plan whose bound exceeds :data:`CELL_BUDGET` raises :class:`DiagramError`
+    here, before anything is built.  `m` keeps the counts of its last
+    evaluation, so a second reading of the same ``(d, k)`` does not contract
+    again; the returned dict is shared and must not be changed.
     """
     if k < 1 or k > MAX_K:
         raise SemanticsError(f"copy bound k must be in 1..{MAX_K}")
-    key = (d, k, budget)
+    key = (d, k)
     kept = m.__dict__.get("_last_counts")
     if kept is not None and kept[0] == key:
         return kept[1]
+    plan = _plan(d, m.size, k)
+    if plan.bound > CELL_BUDGET:
+        raise DiagramError(
+            f"contraction bound {plan.bound} exceeds the {CELL_BUDGET} budget"
+        )
     counts = contract_network(
-        _plan(d, m.size, k),
-        lambda tn, carried: generator_entries(tn.gen, m, k, carried, budget),
-        lambda w: carrier_size(w, m.size, k),
-        budget,
+        plan, lambda tn, carried: generator_entries(tn.gen, m, k, carried)
     )
     object.__setattr__(m, "_last_counts", (key, counts))
     return counts
 
 
-def eval_diagram_rel(
-    d: Diagram, m: Model, k: int = DEFAULT_K, budget: int = DEFAULT_CELL_BUDGET
-) -> FinRel:
+def eval_diagram_rel(d: Diagram, m: Model, k: int = DEFAULT_K) -> FinRel:
     """Compose all generator relations along the diagram.
 
     For a sentence diagram (no inputs, one S output) the result is a
     relation from the one-point carrier to itself; the sentence is true
     iff the relation is non-empty.
     """
-    entries = evaluate(d, m, k, budget)
+    entries = evaluate(d, m, k)
     return _entries_to_finrel(entries, d.input_types(), d.output_types())
 

@@ -15,17 +15,15 @@ from .model import Model
 
 # contract_network is re-exported: bench/tracing.py wraps every module's
 # binding of it, and bench/test_bench.py expects one here.
-from .planner import DEFAULT_CELL_BUDGET, contract_network  # noqa: F401
+from .planner import contract_network  # noqa: F401
 from .relsem import DEFAULT_K, FinRel, SemanticsError, evaluate
 
 
-def eval_diagram_vec(
-    d: Diagram, m: Model, k: int = DEFAULT_K, budget: int = DEFAULT_CELL_BUDGET
-) -> int:
+def eval_diagram_vec(d: Diagram, m: Model, k: int = DEFAULT_K) -> int:
     """The witness count of a closed sentence diagram, an exact integer."""
     if d.inputs:
         raise SemanticsError("scalar evaluation needs a closed diagram")
-    return sum(evaluate(d, m, k, budget).values())
+    return sum(evaluate(d, m, k).values())
 
 
 def check_equivalence(rel: FinRel, scalar: int) -> bool:

@@ -80,6 +80,13 @@ def evaluation_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def trace_digest(records: list[dict]) -> tuple[int, str]:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode())
+    return len(records), h.hexdigest()
+
+
 if __name__ == "__main__":
     records: list[dict] = []
     token = TRACE.set(records.append)
@@ -87,8 +94,5 @@ if __name__ == "__main__":
         print(*corpus_digest())
     finally:
         TRACE.reset(token)
-    h = hashlib.sha256()
-    for record in records:
-        h.update(json.dumps(record, sort_keys=True).encode())
-    print(len(records), h.hexdigest())
+    print(*trace_digest(records))
     print(*evaluation_digest())

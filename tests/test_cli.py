@@ -13,7 +13,6 @@ from conftest import DONKEY, data_path
 
 import lamsem
 from lamsem import (
-    Lexicon,
     SearchConfig,
     diagram_from_json,
     parse_formula,
@@ -283,7 +282,7 @@ def test_diagram_trace_prints_rewrite_counts(capsys, lexicon, sentence, fired):
 
 
 def test_an_ambiguous_word_is_read_with_its_first_provable_formula(capsys, tmp_path):
-    data = Lexicon.from_path(data_path("lexicon.json")).to_dict()
+    data = json.loads(data_path("lexicon.json").read_text())
     ambiguous, intransitive = tmp_path / "ambiguous.json", tmp_path / "intransitive.json"
     for path, eat in ((ambiguous, ["np\\s", "np\\s/np"]), (intransitive, ["np\\s"])):
         path.write_text(json.dumps({**data, "words": {**data["words"], "eat": eat}}))
@@ -374,6 +373,15 @@ def with_value(flag: str) -> tuple:
     return (flag,) if VALUES[flag] is None else (flag, VALUES[flag])
 
 
+def assert_usage_error(capsys, tmp_path, command, *argv) -> None:
+    """The command exits 2 with its own usage on stderr, prints nothing on
+    stdout and writes no file."""
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith(f"usage: lamsem {command} ") and "unrecognized arguments" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, flag", [(c, f) for c in READS for f in VALUES if f not in READS[c]]
 )
@@ -381,10 +389,19 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(
     capsys, tmp_path, monkeypatch, command, flag
 ):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command, "dogs eat snacks", *with_value(flag))
-    assert (code, out) == (EXIT_ERROR, "")
-    assert err.startswith("usage:") and "unrecognized arguments" in err
-    assert "Traceback" not in err and not list(tmp_path.iterdir())
+    assert_usage_error(capsys, tmp_path, command, "dogs eat snacks", *with_value(flag))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "dogs eat snacks", "--back", "both"),
+     ("prove", "dogs eat snacks", "--tr"),
+     ("diagram", "dogs eat snacks", "--export-d", "out.dot")],
+    ids=["eval---back", "prove---tr", "diagram---export-d"],
+)
+def test_an_abbreviated_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert_usage_error(capsys, tmp_path, *argv)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +418,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error_from_the_shell(tmp_pa
         env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path,
     )
     assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
-    assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"usage: lamsem {argv[0]} ") and "Traceback" not in done.stderr
     assert not list(tmp_path.iterdir())
 
 

@@ -8,8 +8,9 @@ substituted diagrams), which belongs to the grammar, not to the search, and
 each substituted diagram counts the witnesses that the brute-force
 evaluator in ``reference.py`` counts, whatever order the model lists its
 universe in.  Proofs whose raw diagrams are equal up to swaps give
-substituted diagrams that are too, and the counts a model keeps from its
-last evaluation are those a fresh model computes.  The last test alone pins
+substituted diagrams that are too, substitution keeps a raw diagram's
+witness counts, and the counts a model keeps from its last evaluation are
+those a fresh model computes.  The last test alone pins
 outputs: the digests of ``corpus_digest.py``.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamsem import (
+    Diagram,
     DiagramError,
     Lexicon,
     Model,
@@ -34,8 +36,7 @@ from lamsem import (
     swap_erased_key,
     typecheck_report,
 )
-from lamsem.planner import DEFAULT_CELL_BUDGET
-from lamsem.prover import proof_to_text
+from lamsem.prover import TRACE, proof_to_text
 from lamsem.relsem import SemanticsError, eval_diagram_rel, evaluate
 from lamsem.vecsem import eval_diagram_vec
 
@@ -146,6 +147,30 @@ def test_corpusevaluate(lexicon, sentence, goal, k):
             assert sorted(relabelled.values()) == sorted(counts.values())
 
 
+def test_substitution_keeps_the_witness_counts(lexicon):
+    """A raw diagram and its wiring substitution count the same witnesses,
+    one proof per raw class of each sentence at k = 1 and 2.  A raw `who`
+    means something only as its Frobenius wiring, so evaluating it raises."""
+    compared = 0
+    for sentence, goal, _ in CORPUS:
+        for k in (1, 2):
+            words, proofs = find_proofs(lexicon, sentence, goal, k)
+            raws: dict = {}
+            for p in proofs:
+                raw = proof_to_diagram(p, lexicon, words=words)
+                raws.setdefault(swap_erased_key(raw), raw)
+            for raw in raws.values():
+                sub = substitute_wirings(raw, lexicon)
+                for m in MODELS:
+                    if "who" in words:
+                        with pytest.raises(SemanticsError):
+                            evaluate(raw, m, k)
+                        continue
+                    assert evaluate(raw, m, k) == evaluate(sub, m, k), (sentence, k)
+                    compared += 1
+    assert compared >= 96
+
+
 @functools.cache
 def corpus_diagrams() -> tuple:
     """The distinct substituted diagrams of the corpus at k = 1..3, in order."""
@@ -160,14 +185,23 @@ def corpus_diagrams() -> tuple:
     return tuple(out)
 
 
+@functools.cache
+def raw_relative_clause() -> Diagram:
+    """The raw diagram of "dogs who eat snacks": its `who` has no meaning
+    until substitution gives it its wiring, so evaluating it raises."""
+    lexicon = Lexicon.from_path(data_path("lexicon.json"))
+    words, proofs = find_proofs(lexicon, "dogs who eat snacks", "np")
+    return proof_to_diagram(proofs[0], lexicon, words=words)
+
+
 # shared by every example, so that each reads what earlier calls kept
 SHARED_MODELS = (random_model(random.Random(5), 2), random_model(random.Random(6), 3))
 READINGS = (evaluate, eval_diagram_rel, eval_diagram_vec)
 
 
-def _outcome(read, d, m, k, budget):
+def _outcome(read, d, m, k):
     try:
-        return read(d, m, k, budget)
+        return read(d, m, k)
     except (DiagramError, SemanticsError) as exc:
         return type(exc)
 
@@ -175,7 +209,9 @@ def _outcome(read, d, m, k, budget):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_kept_counts_are_never_stale(data):
-    pool = data.draw(st.lists(st.sampled_from(corpus_diagrams()), min_size=1, max_size=2))
+    # the raw diagram fails on every call, so failures are drawn too
+    diagrams = corpus_diagrams() + (raw_relative_clause(),)
+    pool = data.draw(st.lists(st.sampled_from(diagrams), min_size=1, max_size=2))
     calls = data.draw(
         st.lists(
             st.tuples(
@@ -183,15 +219,14 @@ def test_kept_counts_are_never_stale(data):
                 st.sampled_from(pool),
                 st.sampled_from(SHARED_MODELS),
                 st.sampled_from((1, 2, 3)),
-                st.sampled_from((DEFAULT_CELL_BUDGET, 1)),  # 1 is too small for most
             ),
             min_size=1,
             max_size=12,
         )
     )
-    for read, d, m, k, budget in calls:
+    for read, d, m, k in calls:
         fresh = dataclasses.replace(m)
-        assert _outcome(read, d, m, k, budget) == _outcome(read, d, fresh, k, budget)
+        assert _outcome(read, d, m, k) == _outcome(read, d, fresh, k)
 
 
 def test_corpus_and_evaluation_digests_are_pinned():
@@ -200,10 +235,18 @@ def test_corpus_and_evaluation_digests_are_pinned():
 
     A pinned value changes only with a reason in CHANGES.md.
     """
-    from corpus_digest import corpus_digest, evaluation_digest
+    from corpus_digest import corpus_digest, evaluation_digest, trace_digest
 
-    assert corpus_digest() == (
-        1001, "9dee11791186a3bae3ac22c8c4b5066999953d829a8dc8ea62149728643c0860"
+    records: list[dict] = []
+    token = TRACE.set(records.append)
+    try:
+        assert corpus_digest() == (
+            1001, "9dee11791186a3bae3ac22c8c4b5066999953d829a8dc8ea62149728643c0860"
+        )
+    finally:
+        TRACE.reset(token)
+    assert trace_digest(records) == (
+        1086, "ca9b3279f6d34b2ca1e9c53439073896d6a8310efa61789ef718dae85ac68864"
     )
     assert evaluation_digest() == (
         312, "1234bac89f1f45492df1d7cff31a41b359fc397c7ccc1b22c9e194cf8395ccc5"

@@ -72,9 +72,3 @@ def test_prove_sentence_stops_at_the_first_provable_sequent(lexicon):
         want = [(seq, prove(seq, cfg)) for seq in sentence_to_sequents(words, lex, s)[:tried]]
         assert prove_sentence(words, lex, s, cfg) == want
         assert [bool(result.proofs) for _, result in want] == [False] * (tried - 1) + [tried == 2]
-
-
-def test_round_trip_to_dict(lexicon):
-    again = Lexicon.from_dict(lexicon.to_dict())
-    assert again.entries == lexicon.entries
-    assert again.wirings == lexicon.wirings

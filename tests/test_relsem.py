@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import DONKEY, donkey_oracle, sentence_diagram
+from conftest import DONKEY, data_path, donkey_oracle, sentence_diagram
 from reference import reference_counts
 
 from lamsem import relsem
@@ -90,9 +90,10 @@ def test_interp_object_sizes():
     assert (0,) in fock and (1, 2) in fock
 
 
-def test_interp_object_budget():
+def test_interp_object_budget(monkeypatch):
+    monkeypatch.setattr(relsem, "CELL_BUDGET", 100)
     with pytest.raises(SemanticsError):
-        interp_object(FockWire(N), small_model(3), k=3, budget=100)
+        interp_object(FockWire(N), small_model(3), k=3)
     with pytest.raises(SemanticsError):
         interp_object(N, small_model(2), k=0)
 
@@ -111,7 +112,7 @@ def test_forward_image(model_dogs):
     assert eats  # bundled model has eaters
     everyone = model_dogs.full_set
     img = model_dogs.forward_image("eats", everyone)
-    assert img == model_dogs.subset_id(sorted({model_dogs.universe[x] for x, _ in eats}))
+    assert img == sum({1 << x for x, _ in eats})
     assert model_dogs.forward_image("eats", 0) == 0
 
 
@@ -547,14 +548,16 @@ def test_donkey_oracle_sweep(lexicon):
     assert 0 < trues < 500  # both outcomes exercised
 
 
-def test_eval_rejects_bad_k(lexicon, model_dogs):
+def test_eval_rejects_bad_k(lexicon, model_dogs, monkeypatch):
     d = sentence_diagram(lexicon, "dogs eat snacks")
     assert eval_diagram_rel(d, model_dogs, k=3).nonempty  # caches its plan
     for k in (0, 4, 9):
         with pytest.raises(SemanticsError):
             eval_diagram_rel(d, model_dogs, k=k)
+    monkeypatch.setattr(relsem, "CELL_BUDGET", 1)
+    twin = dataclasses.replace(model_dogs)  # keeps no counts
     with pytest.raises(DiagramError):  # the plan's bound, on the cached plan
-        eval_diagram_rel(d, model_dogs, k=3, budget=1)
+        eval_diagram_rel(d, twin, k=3)
 
 
 # ------------------------------------------------------------- plan reuse
@@ -582,7 +585,7 @@ def test_equal_diagram_reuses_the_plan(lexicon, model_donkey_true):
     twin = diagram_from_json(export(d, "json"))
     assert twin == d and twin is not d
     # a content-equal model keeps no counts, so the plan is what gets reused
-    model = Model.from_dict(model_donkey_true.to_dict())
+    model = Model.from_path(data_path("model_donkey_true.json"))
     hits = relsem._plan.cache_info().hits
     assert eval_diagram_vec(twin, model) == 32
     assert relsem._plan.cache_info().hits == hits + 1
@@ -641,14 +644,12 @@ def test_rel_then_vec_contracts_once(lexicon, monkeypatch):
     # an equal diagram is the same key
     assert eval_diagram_vec(diagram_from_json(export(d, "json")), m) and len(calls) == 1
     other = sentence_diagram(lexicon, "every farmer owns a donkey")
-    budget = relsem.DEFAULT_CELL_BUDGET
     for again in (
         lambda: eval_diagram_vec(d, m, 3),
-        lambda: eval_diagram_vec(d, m, 2, budget - 1),
         lambda: eval_diagram_vec(other, m),
         lambda: eval_diagram_vec(d, dataclasses.replace(m)),
     ):
-        eval_diagram_rel(d, m)  # kept: (d, 2, budget)
+        eval_diagram_rel(d, m)  # kept: (d, 2)
         before = len(calls)
         again()
         assert len(calls) == before + 1
@@ -657,10 +658,13 @@ def test_rel_then_vec_contracts_once(lexicon, monkeypatch):
 def test_a_failed_evaluation_is_not_kept(lexicon, monkeypatch):
     d = sentence_diagram(lexicon, DONKEY)
     m = random_donkey_model(random.Random(3))
-    calls = counted_contractions(monkeypatch)
+    calls = []  # the evaluations not read from kept counts
+    real = relsem._plan
+    monkeypatch.setattr(relsem, "_plan", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(relsem, "CELL_BUDGET", 1)
     for read in (eval_diagram_rel, eval_diagram_vec):
         with pytest.raises(DiagramError, match="budget"):
-            read(d, m, 2, 1)
+            read(d, m, 2)
     assert len(calls) == 2
 
 
@@ -680,8 +684,8 @@ def test_fock_lift_rel_then_vec_contracts_as_often_as_rel(monkeypatch):
     assert scalar == sum(reference_counts(d, map_model(2), 3).values())
 
 
-def test_copies_of_a_model_keep_no_counts(lexicon, model_donkey_true):
-    m = Model.from_dict(model_donkey_true.to_dict())
+def test_copies_of_a_model_keep_no_counts(lexicon):
+    m = Model.from_path(data_path("model_donkey_true.json"))
     eval_diagram_rel(sentence_diagram(lexicon, DONKEY), m)
     assert "_last_counts" in vars(m)
     for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
@@ -759,15 +763,18 @@ def test_budget_below_the_plan_bound_raises_before_building(lexicon, monkeypatch
     built = []
     real = relsem.generator_entries
     monkeypatch.setattr(relsem, "generator_entries", lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(relsem, "CELL_BUDGET", bound - 1)
     with pytest.raises(DiagramError, match="budget"):
-        eval_diagram_rel(d, m, 2, budget=bound - 1)
+        eval_diagram_rel(d, m, 2)
     assert built == []
-    assert eval_diagram_rel(d, m, 2, budget=bound).nonempty == donkey_oracle(m)
+    monkeypatch.setattr(relsem, "CELL_BUDGET", bound)
+    assert eval_diagram_rel(d, m, 2).nonempty == donkey_oracle(m)
     assert built
     # a Fock-lifted diagram is evaluated under the same budget
     lift = FockLift(Diagram((Mult(),), (), ((0, 0), (0, 1)), ((0, 0),)))
+    monkeypatch.setattr(relsem, "CELL_BUDGET", 10)
     with pytest.raises(DiagramError, match="budget"):
-        real(lift, m, 2, None, 10)
+        real(lift, m, 2)
 
 
 def test_outputs_carried_from_two_operands_hold_no_product(lexicon, monkeypatch):
@@ -809,10 +816,12 @@ def test_outputs_carried_from_two_operands_hold_no_product(lexicon, monkeypatch)
     built = []
     real = relsem.generator_entries
     monkeypatch.setattr(relsem, "generator_entries", lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(relsem, "CELL_BUDGET", plan.bound - 1)
     with pytest.raises(DiagramError, match="budget"):
-        relsem.evaluate(d, m, 2, plan.bound - 1)
+        relsem.evaluate(d, m, 2)
     assert built == []
-    assert relsem.evaluate(d, m, 2, plan.bound) == reference_counts(d, m, 2)
+    monkeypatch.setattr(relsem, "CELL_BUDGET", plan.bound)
+    assert relsem.evaluate(d, m, 2) == reference_counts(d, m, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -823,7 +832,7 @@ def test_default_budget_evaluates_the_donkey_up_to_six_entities(lexicon, k):
     rng = random.Random(k)
     for size in range(1, 7):
         bound = relsem._plan(d, size, k).bound
-        assert bound <= relsem.DEFAULT_CELL_BUDGET
+        assert bound <= relsem.CELL_BUDGET
         m = random_donkey_model(rng, size)
         seen = []
         token = TRACE.set(lambda r: seen.extend(r["entries_in"] + [r["entries_out"]]))
