@@ -6,6 +6,11 @@ matching any other rule the searcher may move movable formulas to arbitrary
 positions, and every such move is recorded as an explicit Perm node so the
 emitted tree remains checkable against the rule schemas.
 
+The searcher interns each formula it meets as an int, kept with its kind,
+its children's ints and its count vectors, and searches and memoizes
+sequents as tuples of ints.  The memo keeps raw proofs as nested tuples,
+and ``prove`` builds ``ProofTree`` objects only for the proofs it keeps.
+
 Every count verdict is :func:`_excludes` of a count vector: per atom of the
 root, the low ends of the intervals of :func:`~lamsem.formula.count_excludes_zero`,
 then their negated high ends, so that vectors add over formulas and a
@@ -41,6 +46,7 @@ from operator import add, sub
 from typing import Callable, Iterator
 
 from .formula import (
+    Atom,
     Bang,
     Formula,
     Nabla,
@@ -108,59 +114,49 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Found proofs, plus whether every proof was surely kept.
+    """Found proofs, and whether the search surely found every proof.
 
-    ``exhaustive`` is False when some sequent's proofs reached the
-    per-sequent proof cap, so proofs may have been dropped; an empty
-    exhaustive result means the sequent is unprovable.
+    ``exhaustive`` speaks of the search only: it is False when some
+    sequent's proofs reached the per-sequent cap.  ``max_proofs`` may still
+    cut an exhaustive result; an empty one means the sequent is unprovable.
     """
 
     proofs: tuple[ProofTree, ...]
     exhaustive: bool
 
 
-def perm_normalize(s: Sequent) -> Sequent:
-    """Canonical placement: movable formulas sorted to the leftmost positions."""
-    movable = [f for f in s.antecedent if isinstance(f, Nabla)]
-    rest = [f for f in s.antecedent if not isinstance(f, Nabla)]
-    movable.sort(key=format_formula)
-    return Sequent(tuple(movable + rest), s.succedent)
-
-
 def _movable_arrangements(
-    ant: tuple[Formula, ...]
-) -> Iterator[tuple[tuple[Formula, ...], list[tuple[int, int, tuple[Formula, ...]]]]]:
-    """All antecedent rearrangements reachable by moving movable formulas.
+    ant: tuple, idx: list[int]
+) -> Iterator[tuple[tuple, list[tuple[int, int, tuple]]]]:
+    """All rearrangements of `ant` reachable by moving the items at positions `idx`.
 
     Yields (arrangement, moves); each move is (src, dst, resulting antecedent)
-    where the formula at position dst in the previous arrangement is read as
+    where the item at position dst in the previous arrangement is read as
     having been moved there from position src in the next one up the proof.
     """
-    idx = [i for i, f in enumerate(ant) if isinstance(f, Nabla)]
     if not idx:
         yield ant, []
         return
     n = len(ant)
     movers = set(idx)
     base = [i for i in range(n) if i not in movers]
-    seen: set[tuple[Formula, ...]] = set()
+    seen: set[tuple] = set()
     for mperm in itertools.permutations(idx):
         for slots in itertools.combinations(range(n), len(idx)):
             target = list(base)  # indices into `ant`, in arrangement order
             for slot, i in zip(slots, mperm):
                 target.insert(slot, i)
-            formulas = tuple(ant[i] for i in target)
-            if formulas in seen:
+            items = tuple(ant[i] for i in target)
+            if items in seen:
                 continue
-            seen.add(formulas)
-            # Recover a chain of single-formula moves taking `ant` to
-            # `formulas` where only movable formulas ever move.  Left of
-            # `tpos` the chain already agrees with the target.  A mover due
-            # at `tpos` moves left onto it; a mover standing where a fixed
-            # formula is due moves right, past that formula.  Indices keep
-            # equal formulas distinct.
+            seen.add(items)
+            # Recover a chain of single-item moves taking `ant` to `items`
+            # where only movable items ever move.  Left of `tpos` the chain
+            # already agrees with the target.  A mover due at `tpos` moves
+            # left onto it; a mover standing where a fixed item is due moves
+            # right, past that item.  Indices keep equal items distinct.
             cur = list(range(n))
-            moves: list[tuple[int, int, tuple[Formula, ...]]] = []
+            moves: list[tuple[int, int, tuple]] = []
             tpos = 0
             while tpos < n:
                 want = target[tpos]
@@ -174,26 +170,7 @@ def _movable_arrangements(
                     frm, to = tpos, max(cpos, target.index(cur[tpos]))
                 cur.insert(to, cur.pop(frm))
                 moves.append((to, frm, tuple(ant[i] for i in cur)))
-            yield formulas, moves
-
-
-def _wrap_perms(
-    tree: ProofTree,
-    conclusion_ant: tuple[Formula, ...],
-    succ: Formula,
-    moves: list[tuple[int, int, tuple[Formula, ...]]],
-) -> ProofTree:
-    """Wrap `tree` (proving the rearranged sequent) in explicit Perm nodes."""
-    for i in range(len(moves) - 1, -1, -1):
-        src, dst, _premise_ant = moves[i]
-        ant = moves[i - 1][2] if i > 0 else conclusion_ant
-        tree = ProofTree(
-            rule=PERM,
-            conclusion=Sequent(ant, succ),
-            premises=(tree,),
-            data=(("dst", dst), ("src", src)),
-        )
-    return tree
+            yield items, moves
 
 
 # The one trace channel: while set, it is called with one dict of search
@@ -208,41 +185,81 @@ def _excludes(counts: tuple[int, ...]) -> bool:
     return max(counts) > 0
 
 
+_Key = tuple[tuple[int, ...], int]  # a sequent: its formulas' ints, antecedent then succedent
+
+
 class _Searcher:
     _NODE_CAP = 64
 
     def __init__(self, cfg: SearchConfig, root: Sequent):
         self.cfg = cfg
-        # sequent -> (proof, class) pairs; proofs equal up to Perm-node
+        # every formula the search meets is built from the root's atoms
+        formulas = (*root.antecedent, root.succedent)
+        self.atoms = sorted({a for f in formulas for a in _intervals(f, 1, cfg.k)})
+        # per interned formula: itself, its kind, its children's ints and its
+        # count vectors taken with sign +1 and -1
+        self.ids: dict[Formula, int] = {}
+        self.formulas: list[Formula] = []
+        self.kinds: list[type] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.plus: list[tuple[int, ...]] = []
+        self.minus: list[tuple[int, ...]] = []
+        self.root: _Key = (tuple(map(self.intern, root.antecedent)), self.intern(root.succedent))
+        # sequent -> (proof, class) pairs, each proof a (rule, conclusion,
+        # premise proofs, data) tuple; proofs equal up to Perm-node
         # placement share a class
-        self.memo: dict[Sequent, tuple[tuple[ProofTree, int], ...]] = {}
+        self.memo: dict[_Key, tuple[tuple[tuple, int], ...]] = {}
         # (rule, perm-normalized conclusion, !L copies, premise classes) -> class
         self.classes: dict[tuple, int] = {}
+        self.sequents: dict[_Key, Sequent] = {}
+        self.trees: dict[int, ProofTree] = {}  # id of a memo proof -> its tree
         self.truncated = False  # whether some sequent's proofs reached _NODE_CAP
         self.nodes = 0  # sequents whose rules were tried
         self.memo_hits = 0
         self.pruned = 0  # sequents and splits cut by _excludes
-        # every formula the search meets is built from the root's atoms
-        formulas = (*root.antecedent, root.succedent)
-        self.atoms = sorted({a for f in formulas for a in _intervals(f, 1, cfg.k)})
-        self.vectors: dict[tuple[Formula, int], tuple[int, ...]] = {}
 
-    def counts(self, f: Formula, sign: int) -> tuple[int, ...]:
-        """The count vector of `f` taken with `sign`."""
-        v = self.vectors.get((f, sign))
-        if v is None:
-            ends = [_intervals(f, sign, self.cfg.k).get(a, (0, 0)) for a in self.atoms]
-            v = self.vectors[f, sign] = tuple(lo for lo, _ in ends) + tuple(-hi for _, hi in ends)
-        return v
+    def intern(self, f: Formula) -> int:
+        """The int of `f`, given (after its children's) the first time it is met."""
+        i = self.ids.get(f)
+        if i is None:
+            unary = isinstance(f, (Bang, Nabla))
+            parts = () if isinstance(f, Atom) else (f.inner,) if unary else (f.left, f.right)
+            kids = tuple(map(self.intern, parts))
+            i = self.ids[f] = len(self.formulas)
+            self.formulas.append(f)
+            self.kinds.append(type(f))
+            self.kids.append(kids)
+            for sign, vectors in ((1, self.plus), (-1, self.minus)):
+                ends = [_intervals(f, sign, self.cfg.k).get(a, (0, 0)) for a in self.atoms]
+                vectors.append(tuple(lo for lo, _ in ends) + tuple(-hi for _, hi in ends))
+        return i
 
-    def total(self, seq: Sequent) -> tuple[int, ...]:
+    def sequent(self, key: _Key) -> Sequent:
+        """The `Sequent` of `key`, built once."""
+        s = self.sequents.get(key)
+        if s is None:
+            ant = tuple(self.formulas[f] for f in key[0])
+            s = self.sequents[key] = Sequent(ant, self.formulas[key[1]])
+        return s
+
+    def tree(self, proof: tuple) -> ProofTree:
+        """The `ProofTree` of a memo proof, built once: shared proofs share trees."""
+        t = self.trees.get(id(proof))
+        if t is None:
+            rule, key, premises, data = proof
+            premises = tuple(map(self.tree, premises))
+            t = self.trees[id(proof)] = ProofTree(rule, self.sequent(key), premises, data)
+        return t
+
+    def total(self, seq: _Key) -> tuple[int, ...]:
         """The count vector of `seq`, its succedent taken with sign -1."""
-        total = self.counts(seq.succedent, -1)
-        for f in seq.antecedent:
-            total = tuple(map(add, total, self.counts(f, 1)))
+        ant, succ = seq
+        total = self.minus[succ]
+        for f in ant:
+            total = tuple(map(add, total, self.plus[f]))
         return total
 
-    def search(self, seq: Sequent) -> tuple[tuple[ProofTree, int], ...]:
+    def search(self, seq: _Key) -> tuple[tuple[tuple, int], ...]:
         hit = self.memo.get(seq)
         if hit is not None:
             self.memo_hits += 1
@@ -254,24 +271,31 @@ class _Searcher:
             self.memo[seq] = ()
             return ()
         self.nodes += 1
+        ant, succ = seq
+        idx = [i for i, f in enumerate(ant) if self.kinds[f] is Nabla]
         # every arrangement normalizes alike: only movable formulas move
-        norm = perm_normalize(seq)
-        proofs: list[tuple[ProofTree, int]] = []
-        for ant, moves in _movable_arrangements(seq.antecedent):
-            vseq = Sequent(ant, seq.succedent)
+        rest = tuple(f for f in ant if self.kinds[f] is not Nabla)
+        norm = (tuple(sorted(ant[i] for i in idx)), rest, succ)
+        proofs: list[tuple[tuple, int]] = []
+        for vant, moves in _movable_arrangements(ant, idx):
+            vseq = (vant, succ)
             for rule, data, premise_seqs in self._applications(vseq, total):
-                head = (rule, norm, tuple(v for k, v in data if k == "n"))
-                sub: list[tuple[tuple[ProofTree, int], ...]] = []
+                sub: list[tuple[tuple[tuple, int], ...]] = []
                 for p in premise_seqs:
                     found = self.search(p)
                     if not found:
                         break
                     sub.append(found)
                 else:
+                    head = (rule, norm, tuple(v for k, v in data if k == "n"))
                     for combo in itertools.product(*sub):
-                        node = ProofTree(rule, vseq, tuple(p for p, _ in combo), data)
+                        proof = (rule, vseq, tuple(p for p, _ in combo), data)
+                        # one Perm node per move, the last move innermost
+                        for i in range(len(moves) - 1, -1, -1):
+                            src, dst, _ = moves[i]
+                            concl = moves[i - 1][2] if i else ant
+                            proof = (PERM, (concl, succ), (proof,), (("dst", dst), ("src", src)))
                         key = (head, tuple(c for _, c in combo))
-                        proof = _wrap_perms(node, seq.antecedent, seq.succedent, moves)
                         proofs.append((proof, self.classes.setdefault(key, len(self.classes))))
                         if len(proofs) >= self._NODE_CAP:
                             self.truncated = True
@@ -285,14 +309,15 @@ class _Searcher:
         return result
 
     def _applications(
-        self, seq: Sequent, total: tuple[int, ...]
-    ) -> Iterator[tuple[str, tuple[tuple[str, int], ...], list[Sequent]]]:
+        self, seq: _Key, total: tuple[int, ...]
+    ) -> Iterator[tuple[str, tuple[tuple[str, int], ...], list[_Key]]]:
         """The rule applications to `seq`, of count vector `total`, less unbalanced splits."""
-        ant, succ = seq.antecedent, seq.succedent
+        ant, succ = seq
+        kinds, kids, minus = self.kinds, self.kids, self.minus
         n = len(ant)
         prefix = [(0,) * len(total)]
         for f in ant:
-            prefix.append(tuple(map(add, prefix[-1], self.counts(f, 1))))
+            prefix.append(tuple(map(add, prefix[-1], self.plus[f])))
 
         def cut(first: tuple[int, ...]) -> bool:
             """Whether premise 1, of count vector `first`, or premise 2 cannot balance."""
@@ -303,58 +328,53 @@ class _Searcher:
         if n == 1 and ant[0] == succ:
             yield AXIOM, (), []
         for pos, f in enumerate(ant):
-            if isinstance(f, Bang):
+            kind = kinds[f]
+            if kind is Bang:
                 for copies in range(1, self.cfg.k + 1):
-                    premise = ant[:pos] + (f.inner,) * copies + ant[pos + 1 :]
-                    yield BANG_L, (("n", copies), ("pos", pos)), [Sequent(premise, succ)]
-            elif isinstance(f, Nabla):
-                premise = ant[:pos] + (f.inner,) + ant[pos + 1 :]
-                yield NABLA_L, (("pos", pos),), [Sequent(premise, succ)]
-            elif isinstance(f, Tensor):
-                premise = ant[:pos] + (f.left, f.right) + ant[pos + 1 :]
-                yield TENSOR_L, (("pos", pos),), [Sequent(premise, succ)]
+                    premise = ant[:pos] + kids[f] * copies + ant[pos + 1 :]
+                    yield BANG_L, (("n", copies), ("pos", pos)), [(premise, succ)]
+            elif kind is Nabla or kind is Tensor:
+                premise = ant[:pos] + kids[f] + ant[pos + 1 :]
+                yield NABLA_L if kind is Nabla else TENSOR_L, (("pos", pos),), [(premise, succ)]
         for pos, f in enumerate(ant):
-            if isinstance(f, Under):
-                # premise 1 is ant[pos - sigma_len : pos] -> f.left
-                end = tuple(map(add, prefix[pos], self.counts(f.left, -1)))
+            kind = kinds[f]
+            if kind is Under:
+                # premise 1 is ant[pos - sigma_len : pos] -> left
+                left, right = kids[f]
+                end = tuple(map(add, prefix[pos], minus[left]))
                 for sigma_len in range(1, pos + 1):
                     if cut(tuple(map(sub, end, prefix[pos - sigma_len]))):
                         continue
-                    sigma = ant[pos - sigma_len : pos]
-                    rest = ant[: pos - sigma_len] + (f.right,) + ant[pos + 1 :]
                     yield UNDER_L, (("pos", pos), ("sigma_len", sigma_len)), [
-                        Sequent(sigma, f.left),
-                        Sequent(rest, succ),
+                        (ant[pos - sigma_len : pos], left),
+                        (ant[: pos - sigma_len] + (right,) + ant[pos + 1 :], succ),
                     ]
-            elif isinstance(f, Over):
-                # premise 1 is ant[pos + 1 : pos + 1 + sigma_len] -> f.right
-                start = tuple(map(sub, self.counts(f.right, -1), prefix[pos + 1]))
+            elif kind is Over:
+                # premise 1 is ant[pos + 1 : pos + 1 + sigma_len] -> right
+                left, right = kids[f]
+                start = tuple(map(sub, minus[right], prefix[pos + 1]))
                 for sigma_len in range(1, n - pos):
                     if cut(tuple(map(add, prefix[pos + 1 + sigma_len], start))):
                         continue
-                    sigma = ant[pos + 1 : pos + 1 + sigma_len]
-                    rest = ant[:pos] + (f.left,) + ant[pos + 1 + sigma_len :]
                     yield OVER_L, (("pos", pos), ("sigma_len", sigma_len)), [
-                        Sequent(sigma, f.right),
-                        Sequent(rest, succ),
+                        (ant[pos + 1 : pos + 1 + sigma_len], right),
+                        (ant[:pos] + (left,) + ant[pos + 1 + sigma_len :], succ),
                     ]
-        if isinstance(succ, Tensor):
-            goal = self.counts(succ.left, -1)
+        kind, parts = kinds[succ], kids[succ]
+        if kind is Tensor:
             for split in range(1, n):
-                if cut(tuple(map(add, prefix[split], goal))):
+                if cut(tuple(map(add, prefix[split], minus[parts[0]]))):
                     continue
-                yield TENSOR_R, (("split", split),), [
-                    Sequent(ant[:split], succ.left),
-                    Sequent(ant[split:], succ.right),
-                ]
-        elif isinstance(succ, Under):
-            yield UNDER_R, (), [Sequent((succ.left,) + ant, succ.right)]
-        elif isinstance(succ, Over):
-            yield OVER_R, (), [Sequent(ant + (succ.right,), succ.left)]
-        elif isinstance(succ, Bang) and n == 1 and isinstance(ant[0], Bang):
-            yield BANG_R, (), [Sequent((ant[0].inner,), succ.inner)]
-        elif isinstance(succ, Nabla) and n == 1 and isinstance(ant[0], Nabla):
-            yield NABLA_R, (), [Sequent((ant[0].inner,), succ.inner)]
+                halves = [(ant[:split], parts[0]), (ant[split:], parts[1])]
+                yield TENSOR_R, (("split", split),), halves
+        elif kind is Under:
+            yield UNDER_R, (), [(parts[:1] + ant, parts[1])]
+        elif kind is Over:
+            yield OVER_R, (), [(ant + parts[1:], parts[0])]
+        elif kind is Bang and n == 1 and kinds[ant[0]] is Bang:
+            yield BANG_R, (), [(kids[ant[0]], parts[0])]
+        elif kind is Nabla and n == 1 and kinds[ant[0]] is Nabla:
+            yield NABLA_R, (), [(kids[ant[0]], parts[0])]
 
 
 def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -364,11 +384,11 @@ def prove(seq: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     first found of each class up to Perm-node placement, sorted canonically.
     """
     searcher = _Searcher(cfg, seq)
-    raw = searcher.search(seq)
-    first: dict[int, ProofTree] = {}
-    for t, c in raw:
-        first.setdefault(c, t)
-    unique = sorted(first.values(), key=proof_to_text)
+    raw = searcher.search(searcher.root)
+    first: dict[int, tuple] = {}
+    for proof, c in raw:
+        first.setdefault(c, proof)
+    unique = sorted(map(searcher.tree, first.values()), key=proof_to_text)
     trace = TRACE.get()
     if trace is not None:
         trace({

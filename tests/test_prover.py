@@ -141,7 +141,8 @@ def test_move_chains_reach_their_arrangements(n):
     movable formula, ends on the arrangement."""
     for ant in itertools.product(("@np", "@n", "np", "n"), repeat=n):
         ant = tuple(parse_formula(f) for f in ant)
-        for arrangement, moves in prover._movable_arrangements(ant):
+        idx = [i for i, f in enumerate(ant) if isinstance(f, Nabla)]
+        for arrangement, moves in prover._movable_arrangements(ant, idx):
             cur = list(ant)
             for src, dst, premise in moves:
                 assert isinstance(cur[dst], Nabla)
@@ -436,7 +437,7 @@ def test_each_sequent_is_count_checked_once():
     total, excludes = prover._Searcher.total, prover._excludes
 
     def counting_total(searcher, s):
-        totalled[s] += 1
+        totalled[searcher.sequent(s)] += 1
         return total(searcher, s)
 
     def counting_excludes(counts):
@@ -472,15 +473,70 @@ def test_split_check_is_exact(seq, k):
     """A split is dropped before its premises are built exactly when one of
     them cannot balance, in every arrangement of every sequent searched."""
     searcher = prover._Searcher(SearchConfig(k=k), seq)
-    searcher.search(seq)
-    for s in searcher.memo:
-        total = searcher.total(s)
-        for ant, _ in prover._movable_arrangements(s.antecedent):
-            vseq = Sequent(ant, s.succedent)
+    searcher.search(searcher.root)
+    for ant, succ in searcher.memo:
+        total = searcher.total((ant, succ))
+        idx = [i for i, f in enumerate(ant) if searcher.kinds[f] is Nabla]
+        for arrangement, _ in prover._movable_arrangements(ant, idx):
+            vseq = (arrangement, succ)
             kept = {(rule, data) for rule, data, _ in searcher._applications(vseq, total)}
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(prover, "_excludes", lambda counts: False)
                 tried = list(searcher._applications(vseq, total))
             for rule, data, premises in tried:
-                cut = rule in SPLITS and any(count_excludes_zero(p, k) for p in premises)
-                assert ((rule, data) in kept) != cut, (format_sequent(vseq), rule, data)
+                cut = rule in SPLITS and any(
+                    count_excludes_zero(searcher.sequent(p), k) for p in premises
+                )
+                assert ((rule, data) in kept) != cut, (
+                    format_sequent(searcher.sequent(vseq)), rule, data
+                )
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        (
+            "!@np, np\\s, @np\\np, np\\s -> s.s",
+            dict(nodes=34, memo_hits=114, memo_size=35, pruned=125, raw_proofs=64,
+                 unique_proofs=22, capped=True),
+        ),
+        (
+            "!@np, np\\s, @np\\np, np\\s, !@np, np\\s -> s.s.s",
+            dict(nodes=70, memo_hits=326, memo_size=71, pruned=1432, raw_proofs=64,
+                 unique_proofs=28, capped=True),
+        ),
+    ],
+)
+def test_search_work_on_synthetic_discourses(text, record):
+    """The trace counters of two discourses that no corpus digest covers."""
+    traced = []
+    token = prover.TRACE.set(traced.append)
+    try:
+        prove(parse_sequent(text), SearchConfig(k=2))
+    finally:
+        prover.TRACE.reset(token)
+    assert traced == [{"search": text, "k": 2, **record}]
+
+
+def test_proof_trees_are_built_only_for_returned_proofs():
+    """`prove` builds one `ProofTree` per distinct node of the proofs it returns."""
+    seq = parse_sequent("!@np, np\\s, @np\\np, np\\s, !@np, np\\s -> s.s.s")
+    built = 0
+    init = prover.ProofTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover.ProofTree, "__init__", counting_init)
+        result = prove(seq, SearchConfig(k=2, max_proofs=None))
+    seen: set[int] = set()
+    stack = list(result.proofs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.premises)
+    assert built == len(seen)
